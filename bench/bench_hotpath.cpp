@@ -1,9 +1,8 @@
 /**
  * @file
- * Hot-path engine bench: runs the baseline (oneshot solving,
- * unbatched simulation) vs hot-path (incremental solving, batched
- * arena-backed simulation) comparison of bench/hotpath_report.hh and
- * emits `BENCH_hotpath.json`.  Exits non-zero when the engine misses
+ * Hot-path engine bench: runs the baseline (oneshot solving) vs
+ * hot-path (incremental solving) comparison of bench/hotpath_report.hh
+ * and emits `BENCH_hotpath.json`.  Exits non-zero when the engine misses
  * its end-to-end speedup gate or any solver mode diverges from the
  * baseline's campaign artifacts, so CI catches both performance and
  * determinism regressions.

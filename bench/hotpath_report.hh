@@ -1,20 +1,18 @@
 /**
  * @file
- * Shared bench helper: measure the hot-path engine (batched
- * arena-backed simulation + incremental per-pair solving) against the
- * pre-hotpath baseline on the paper's stride workload and emit
- * `BENCH_hotpath.json` (schema "scamv-hotpath-v1").
+ * Shared bench helper: measure the hot-path solver engine
+ * (incremental per-pair solving) against the oneshot solver baseline
+ * on the paper's stride workload and emit `BENCH_hotpath.json`
+ * (schema "scamv-hotpath-v1").
  *
  * Three configurations run the same campaign (same seed, programs,
- * tests):
+ * tests) on the platform's single simulation path:
  *
  *  - baseline_oneshot: SolverMode::Oneshot (fresh solver per test,
- *    op-log replay) with batched simulation off (fresh hw::Core per
- *    repetition) — the quadratic-solving, allocation-heavy shape the
- *    hot-path engine replaces;
- *  - hotpath_incremental: SolverMode::Incremental with batched
- *    simulation on — one live solver per pair, one arena-backed core
- *    per experiment;
+ *    op-log replay) — the quadratic-solving shape the hot-path engine
+ *    replaces;
+ *  - hotpath_incremental: SolverMode::Incremental — one live solver
+ *    per pair;
  *  - hotpath_portfolio: like incremental, plus the sampler scout on
  *    genuine budget exhaustion (never fires on this workload).
  *
@@ -77,12 +75,11 @@ strideWorkload()
 }
 
 inline ModeResult
-runMode(smt::SolverMode mode, int sim_batch)
+runMode(smt::SolverMode mode)
 {
     core::ExperimentDb db;
     core::PipelineConfig cfg = strideWorkload();
     cfg.solverMode = mode;
-    cfg.platform.simBatch = sim_batch;
     cfg.database = &db;
     ModeResult r;
     Stopwatch watch;
@@ -97,8 +94,7 @@ runMode(smt::SolverMode mode, int sim_batch)
     }
 
     const std::string path =
-        std::string("hotpath_") + smt::solverModeName(mode) + "_" +
-        std::to_string(sim_batch) + ".csv";
+        std::string("hotpath_") + smt::solverModeName(mode) + ".csv";
     if (db.exportCsv(path)) {
         std::ifstream in(path);
         std::ostringstream text;
@@ -122,16 +118,16 @@ sameArtifacts(const ModeResult &a, const ModeResult &b)
 
 inline void
 appendMode(std::string &out, const char *name, const char *solver,
-           int sim_batch, const ModeResult &r)
+           const ModeResult &r)
 {
     char buf[512];
     std::snprintf(
         buf, sizeof buf,
-        "    \"%s\": {\"solver\": \"%s\", \"sim_batch\": %d, "
+        "    \"%s\": {\"solver\": \"%s\", "
         "\"wall_s\": %.4f, \"p50_program_s\": %.6f, "
         "\"p99_program_s\": %.6f, \"experiments\": %lld, "
         "\"counterexamples\": %lld}",
-        name, solver, sim_batch, r.wallSeconds, r.p50, r.p99,
+        name, solver, r.wallSeconds, r.p50, r.p99,
         static_cast<long long>(r.stats.experiments),
         static_cast<long long>(r.stats.counterexamples));
     out += buf;
@@ -151,11 +147,11 @@ writeHotpathReport(const std::string &path = "BENCH_hotpath.json")
     using hotpath_detail::ModeResult;
 
     const ModeResult baseline =
-        hotpath_detail::runMode(smt::SolverMode::Oneshot, 0);
+        hotpath_detail::runMode(smt::SolverMode::Oneshot);
     const ModeResult hotpath =
-        hotpath_detail::runMode(smt::SolverMode::Incremental, 1);
+        hotpath_detail::runMode(smt::SolverMode::Incremental);
     const ModeResult portfolio =
-        hotpath_detail::runMode(smt::SolverMode::Portfolio, 1);
+        hotpath_detail::runMode(smt::SolverMode::Portfolio);
 
     const bool deterministic =
         hotpath_detail::sameArtifacts(baseline, hotpath) &&
@@ -165,13 +161,13 @@ writeHotpathReport(const std::string &path = "BENCH_hotpath.json")
                                      hotpath.wallSeconds
                                : 0.0;
 
-    std::printf("[hotpath] baseline (oneshot, unbatched):     "
+    std::printf("[hotpath] baseline (oneshot solver):  "
                 "%.3fs  p50 %.4fs  p99 %.4fs\n",
                 baseline.wallSeconds, baseline.p50, baseline.p99);
-    std::printf("[hotpath] hotpath  (incremental, batched):   "
+    std::printf("[hotpath] hotpath  (incremental):     "
                 "%.3fs  p50 %.4fs  p99 %.4fs\n",
                 hotpath.wallSeconds, hotpath.p50, hotpath.p99);
-    std::printf("[hotpath] hotpath  (portfolio, batched):     "
+    std::printf("[hotpath] hotpath  (portfolio):       "
                 "%.3fs  p50 %.4fs  p99 %.4fs\n",
                 portfolio.wallSeconds, portfolio.p50, portfolio.p99);
     std::printf("[hotpath] speedup: %.2fx (gate: %.1fx)  "
@@ -189,14 +185,14 @@ writeHotpathReport(const std::string &path = "BENCH_hotpath.json")
                   static_cast<unsigned long long>(wl.seed));
     body += buf;
     body += "  \"modes\": {\n";
-    hotpath_detail::appendMode(body, "baseline_oneshot", "oneshot", 0,
+    hotpath_detail::appendMode(body, "baseline_oneshot", "oneshot",
                                baseline);
     body += ",\n";
     hotpath_detail::appendMode(body, "hotpath_incremental",
-                               "incremental", 1, hotpath);
+                               "incremental", hotpath);
     body += ",\n";
     hotpath_detail::appendMode(body, "hotpath_portfolio", "portfolio",
-                               1, portfolio);
+                               portfolio);
     body += "\n  },\n";
     std::snprintf(buf, sizeof buf,
                   "  \"speedup\": %.3f,\n  \"min_speedup\": %.2f,\n"

@@ -16,7 +16,7 @@ Three shapes are recognized (auto-detected per file):
    when the bench's ``comparison`` section is present, the adaptive
    scheduler must beat uniform by its declared ``min_ratio``;
  - ``scamv-hotpath-v1`` from bench/hotpath_report.hh: hot-path
-   engine comparison (batched simulation + solver modes); every mode
+   engine comparison (solver modes); every mode
    must carry p50 <= p99 per-program latencies, the end-to-end
    speedup must meet its declared ``min_speedup`` and the modes must
    agree byte-for-byte (``deterministic``);
@@ -221,7 +221,7 @@ def check_hotpath(path, doc):
             fail(path, f"mode {name!r} is not an object")
         if not isinstance(entry.get("solver"), str):
             fail(path, f"mode {name!r}: missing solver name")
-        for key in ("sim_batch", "wall_s", "p50_program_s",
+        for key in ("wall_s", "p50_program_s",
                     "p99_program_s", "experiments", "counterexamples"):
             if not is_num(entry.get(key)) or entry[key] < 0:
                 fail(path, f"mode {name!r}: {key!r} is not a "

@@ -1,6 +1,5 @@
 #include "harness/platform.hh"
 
-#include "support/env.hh"
 #include "support/faults.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -23,18 +22,12 @@ inputFromAssignment(const expr::Assignment &a, const std::string &suffix)
 }
 
 Platform::Platform(const PlatformConfig &config, std::uint64_t noise_seed)
-    : cfg(config), noiseRng(noise_seed),
-      batched(config.simBatch >= 0
-                  ? config.simBatch != 0
-                  : envLong("SCAMV_SIM_BATCH", 0, 1)
-                            .value_or(1) != 0)
+    : cfg(config), noiseRng(noise_seed), core(cfg.core, cfg.boardSeed)
 {}
 
 void
-Platform::prepare(hw::Core &core, const bir::Program &program,
-                  const ProgramInput &input)
+Platform::simulate(const bir::Program &program, const ProgramInput &input)
 {
-    (void)program;
     // The platform module clears the cache (and thereby the stride
     // detector) before every execution and installs the test case's
     // initial memory words.
@@ -44,20 +37,11 @@ Platform::prepare(hw::Core &core, const bir::Program &program,
     core.memory().clear();
     for (const auto &[addr, val] : input.mem)
         core.memory().store(addr, val);
-}
-
-Platform::Measurement
-Platform::measure(hw::Core &core, const bir::Program &program,
-                  const ProgramInput &input)
-{
-    prepare(core, program, input);
-
-    const int shift = cfg.core.geom.lineShift();
-    const std::uint64_t set_bits = cfg.core.geom.setShift();
-    const std::uint64_t sets = cfg.core.geom.numSets;
 
     if (cfg.channel == Channel::PrimeProbe) {
         // Prime: fill every visible set with the attacker's lines.
+        const int shift = cfg.core.geom.lineShift();
+        const std::uint64_t sets = cfg.core.geom.numSets;
         for (std::uint64_t set = cfg.visibleLoSet;
              set <= cfg.visibleHiSet; ++set) {
             for (std::uint64_t way = 0; way < cfg.core.geom.ways;
@@ -71,33 +55,39 @@ Platform::measure(hw::Core &core, const bir::Program &program,
     }
 
     core.run(program, input.regs, runScratch);
+}
 
+Platform::Strays
+Platform::drawStrays()
+{
+    const int shift = cfg.core.geom.lineShift();
+    const std::uint64_t set_bits = cfg.core.geom.setShift();
+    auto random_line = [&](std::uint64_t tag_base) {
+        const std::uint64_t set =
+            cfg.visibleLoSet +
+            noiseRng.below(cfg.visibleHiSet - cfg.visibleLoSet + 1);
+        const std::uint64_t tag = tag_base + noiseRng.below(16);
+        return (tag << (shift + set_bits)) | (set << shift);
+    };
+
+    Strays strays;
     // System interference: a stray access to a random line.
     if (cfg.noiseProbability > 0.0 &&
         noiseRng.chance(cfg.noiseProbability)) {
         metrics::current().counter("platform.noise_injections").inc();
-        const std::uint64_t set =
-            cfg.visibleLoSet +
-            noiseRng.below(cfg.visibleHiSet - cfg.visibleLoSet + 1);
-        const std::uint64_t tag = 0x7fffULL + noiseRng.below(16);
-        const std::uint64_t addr =
-            (tag << (shift + set_bits)) | (set << shift);
-        core.cache().access(addr);
+        strays.addrs[strays.count++] = random_line(0x7fffULL);
     }
-
     // Injected measurement flake: a stray access indistinguishable
     // from system interference, forced by the fault plan rather than
     // drawn from the noise probability.
-    if (faults::maybeInject(faults::Site::HwFlake)) {
-        const std::uint64_t set =
-            cfg.visibleLoSet +
-            noiseRng.below(cfg.visibleHiSet - cfg.visibleLoSet + 1);
-        const std::uint64_t tag = 0x6eefULL + noiseRng.below(16);
-        const std::uint64_t addr =
-            (tag << (shift + set_bits)) | (set << shift);
-        core.cache().access(addr);
-    }
+    if (faults::maybeInject(faults::Site::HwFlake))
+        strays.addrs[strays.count++] = random_line(0x6eefULL);
+    return strays;
+}
 
+Platform::Measurement
+Platform::observe()
+{
     Measurement m;
     if (cfg.channel == Channel::TlbSnapshot) {
         m.tlb = core.tlb().snapshot();
@@ -105,6 +95,8 @@ Platform::measure(hw::Core &core, const bir::Program &program,
         // Probe: time a reload of every primed line (PMC cycles).
         // Victim activity in a set evicted attacker ways, turning
         // probe hits into misses.
+        const int shift = cfg.core.geom.lineShift();
+        const std::uint64_t sets = cfg.core.geom.numSets;
         m.probeLatencies.reserve(cfg.visibleHiSet - cfg.visibleLoSet +
                                  1);
         for (std::uint64_t set = cfg.visibleLoSet;
@@ -129,6 +121,17 @@ Platform::measure(hw::Core &core, const bir::Program &program,
     return m;
 }
 
+Platform::Measurement
+Platform::measure(const bir::Program &program, const ProgramInput &input)
+{
+    core.resetMicroarch();
+    simulate(program, input);
+    const Strays strays = drawStrays();
+    for (int k = 0; k < strays.count; ++k)
+        core.cache().access(strays.addrs[k]);
+    return observe();
+}
+
 ExperimentResult
 Platform::runExperiment(const bir::Program &program, const TestCase &tc,
                         const std::optional<ProgramInput> &training)
@@ -145,50 +148,63 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
     result.totalReps = cfg.repeats;
     int clean_differing = 0;
 
-    // Batched path: one arena-backed core for all repetitions, reset
-    // in place per repetition.  The rebuild order (destroy the old
-    // core, rewind the arena, reconstruct) keeps arena usage bounded
-    // by one core's footprint; the arena keeps its blocks, so
-    // steady-state experiments allocate nothing.
-    std::optional<hw::Core> local;
-    if (batched) {
-        batchCore.reset();
-        simArena.reset();
-        batchCore =
-            std::make_unique<hw::Core>(cfg.core, cfg.boardSeed, &simArena);
+    core.resetMicroarch();
+
+    // Branch-predictor conditioning.  With a mistraining input
+    // (Section 5.3) the PHT is driven toward the *other* path so
+    // the measured runs mispredict.  Without one, the predictor is
+    // warmed with s1 itself so both measured runs are predicted
+    // correctly: the paper does not test the asymmetric case where
+    // only one of the two executions mispredicts.
+    const ProgramInput &warmup = training ? *training : tc.s1;
+    for (int t = 0; t < cfg.trainingRuns; ++t) {
+        core.cache().reset();
+        core.prefetcher().reset();
+        core.memory().clear();
+        for (const auto &[addr, val] : warmup.mem)
+            core.memory().store(addr, val);
+        core.run(program, warmup.regs, runScratch);
     }
+
+    // The board has no randomness of its own: every repetition would
+    // train, run and leave the same state.  So each state runs once
+    // here, and the repetitions below replay only their noise and
+    // fault draws.  The stray accesses land after the run, and
+    // simulate() wipes the cache before the next measurement, so
+    // replaying them on a copy of the post-run cache reproduces a
+    // fresh core per repetition exactly.
+    Measurement base[2];
+    const ProgramInput *states[2] = {&tc.s1, &tc.s2};
+    for (int i = 0; i < 2; ++i) {
+        simulate(program, *states[i]);
+        if (cfg.channel != Channel::TlbSnapshot)
+            postRun[i] = core.cache();
+        // Probing draws jitter faults, so PrimeProbe has no noise-free
+        // measurement to reuse: every repetition probes.
+        if (cfg.channel != Channel::PrimeProbe)
+            base[i] = observe();
+    }
+
+    Measurement scratch[2];
+    auto replay = [&](int i) -> const Measurement & {
+        const Strays strays = drawStrays();
+        // Stray accesses touch only the cache: the TLB never sees
+        // them, and a cache snapshot only when one landed.
+        if (cfg.channel == Channel::TlbSnapshot ||
+            (cfg.channel == Channel::TrustZoneSnapshot &&
+             strays.count == 0))
+            return base[i];
+        core.cache() = postRun[i];
+        for (int k = 0; k < strays.count; ++k)
+            core.cache().access(strays.addrs[k]);
+        scratch[i] = observe();
+        return scratch[i];
+    };
 
     for (int rep = 0; rep < cfg.repeats; ++rep) {
         const std::uint64_t faults_before = faults::injectedCount();
-        hw::Core *core_p;
-        if (batched) {
-            batchCore->resetMicroarch();
-            core_p = batchCore.get();
-        } else {
-            local.emplace(cfg.core, cfg.boardSeed);
-            local->predictor().reset();
-            core_p = &*local;
-        }
-        hw::Core &core = *core_p;
-
-        // Branch-predictor conditioning.  With a mistraining input
-        // (Section 5.3) the PHT is driven toward the *other* path so
-        // the measured runs mispredict.  Without one, the predictor is
-        // warmed with s1 itself so both measured runs are predicted
-        // correctly: the paper does not test the asymmetric case where
-        // only one of the two executions mispredicts.
-        const ProgramInput &warmup = training ? *training : tc.s1;
-        for (int t = 0; t < cfg.trainingRuns; ++t) {
-            core.cache().reset();
-            core.prefetcher().reset();
-            core.memory().clear();
-            for (const auto &[addr, val] : warmup.mem)
-                core.memory().store(addr, val);
-            core.run(program, warmup.regs, runScratch);
-        }
-
-        const Measurement m1 = measure(core, program, tc.s1);
-        const Measurement m2 = measure(core, program, tc.s2);
+        const Measurement &m1 = replay(0);
+        const Measurement &m2 = replay(1);
         const bool flaked = faults::injectedCount() != faults_before;
         if (flaked)
             ++result.flakedReps;
@@ -224,8 +240,7 @@ hw::CacheState
 Platform::measureOnce(const bir::Program &program,
                       const ProgramInput &input)
 {
-    hw::Core core(cfg.core, cfg.boardSeed);
-    return measure(core, program, input).cache;
+    return measure(program, input).cache;
 }
 
 std::vector<std::uint64_t>
@@ -234,8 +249,7 @@ Platform::probeOnce(const bir::Program &program,
 {
     SCAMV_ASSERT(cfg.channel == Channel::PrimeProbe,
                  "probeOnce requires the PrimeProbe channel");
-    hw::Core core(cfg.core, cfg.boardSeed);
-    return measure(core, program, input).probeLatencies;
+    return measure(program, input).probeLatencies;
 }
 
 } // namespace scamv::harness

@@ -8,9 +8,14 @@
  * the branch predictor with extra inputs that take the other path
  * (Section 5.3), (4) runs the program from each of the two test-case
  * states, (5) inspects the final data-cache state restricted to the
- * attacker-visible set range, and (6) repeats everything `repeats`
- * times (the paper uses 10), classifying the experiment as
+ * attacker-visible set range, and (6) repeats the measurement
+ * `repeats` times (the paper uses 10), classifying the experiment as
  * *inconclusive* unless all repetitions agree.
+ *
+ * The simulated board is deterministic, so steps (1)-(4) are
+ * simulated once per experiment and only what differs between
+ * repetitions is replayed per repetition: the noise and fault draws
+ * of each measured run, applied to a copy of that run's final cache.
  *
  * Optional measurement noise (a stray access to a random line with a
  * configurable probability per run) reproduces the real platform's
@@ -20,15 +25,14 @@
 #ifndef SCAMV_HARNESS_PLATFORM_HH
 #define SCAMV_HARNESS_PLATFORM_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "expr/eval.hh"
 #include "hw/core.hh"
-#include "support/arena.hh"
 #include "support/rng.hh"
 
 namespace scamv::harness {
@@ -102,15 +106,6 @@ struct PlatformConfig {
     Channel channel = Channel::TrustZoneSnapshot;
     /** Base address of the attacker's prime array (PrimeProbe). */
     std::uint64_t attackerArrayBase = 0x4000000;
-    /**
-     * Batched simulation: reuse one arena-backed core across all
-     * repetitions of an experiment (per-repetition state reset in
-     * place) instead of constructing a fresh core per repetition.
-     * Behaviourally identical either way — every microarchitectural
-     * structure's reset() restores its constructor state.
-     * -1 = resolve from SCAMV_SIM_BATCH (default on), 0 = off, 1 = on.
-     */
-    int simBatch = -1;
 };
 
 /** Details of one experiment execution. */
@@ -166,24 +161,31 @@ class Platform
         bool operator==(const Measurement &) const = default;
     };
 
-    void prepare(hw::Core &core, const bir::Program &program,
-                 const ProgramInput &input);
-    Measurement measure(hw::Core &core, const bir::Program &program,
+    /** Stray accesses of one measured run (noise, then flake). */
+    struct Strays {
+        std::array<std::uint64_t, 2> addrs{};
+        int count = 0;
+    };
+
+    /** Reset the board's memory and caches, install `input`, prime
+     * (PrimeProbe) and run: the deterministic part of a measurement. */
+    void simulate(const bir::Program &program, const ProgramInput &input);
+    /** Draw the stray accesses that land after one measured run. */
+    Strays drawStrays();
+    /** Read the channel from the board's current state. */
+    Measurement observe();
+    /** One complete measurement on a freshly reset board. */
+    Measurement measure(const bir::Program &program,
                         const ProgramInput &input);
 
     PlatformConfig cfg;
     Rng noiseRng;
-
-    // Batched-simulation state.  The arena is declared before the
-    // core so the core (whose containers live in the arena) is
-    // destroyed first; runExperiment rebuilds the core per experiment
-    // in the order destroy -> arena reset -> reconstruct, which keeps
-    // arena usage bounded by a single core's footprint.
-    support::Arena simArena;
-    std::unique_ptr<hw::Core> batchCore;
+    /** The simulated board, reset at the start of every experiment. */
+    hw::Core core;
+    /** Each measured state's cache right after its run (s1, s2). */
+    std::array<hw::Cache, 2> postRun;
     /** Reused run-result buffer (trace capacity persists). */
     hw::RunResult runScratch;
-    bool batched;
 };
 
 } // namespace scamv::harness

@@ -31,8 +31,8 @@ class Cache
 {
   public:
     /**
-     * @param arena optional backing arena for the line array (batched
-     * simulation); null means ordinary heap allocation.  The arena
+     * @param arena optional backing arena for the line array; null
+     * means ordinary heap allocation.  The arena
      * must outlive the cache and must not be reset while the cache is
      * alive.
      */
@@ -84,7 +84,7 @@ class Cache
 
     obs::CacheGeometry geom;
     /** Flat set-major line array: index `set * ways + way`.  A single
-     * contiguous allocation (arena-backed in batch mode) instead of
+     * contiguous allocation (optionally arena-backed) instead of
      * one vector per set — the hot access() scan walks `ways`
      * adjacent elements. */
     std::vector<Line, support::ArenaAllocator<Line>> lines;

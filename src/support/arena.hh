@@ -1,23 +1,17 @@
 /**
  * @file
- * Bump-pointer arena allocator for hot-path simulation state.
+ * Bump-pointer arena allocator for simulation state.
  *
- * The experiment platform runs the same program dozens of times per
- * test pair (repeats x (training + 2 measured runs)).  Before the
- * batched-simulation path existed, every repetition constructed a
- * fresh hw::Core, which heap-allocated the cache line array, the TLB
- * entry table and the predictor PHT each time.  The arena removes
- * that churn: the batch core's containers are carved out of one
- * arena owned by the platform, the per-run *contents* are reset in
- * place, and the arena itself is rewound (`reset()`) only when a new
- * experiment rebuilds the core — previously allocated blocks are kept
- * and reused, so steady-state experiments perform no allocation at
- * all.
+ * A caller that rebuilds hw::Core objects in a loop can carve their
+ * containers (cache line array, TLB entry table, predictor PHT) out
+ * of one arena and rewind it (`reset()`) between rebuilds: previously
+ * allocated blocks are kept and reused, so the steady state performs
+ * no allocation at all.  harness::Platform no longer needs this — it
+ * keeps one core for its whole lifetime and resets it in place.
  *
  * Lifecycle contract: `reset()` invalidates every object previously
  * allocated from the arena.  Callers must destroy arena-backed
- * containers *before* resetting (harness::Platform destroys its batch
- * core first, then rewinds, then rebuilds — see platform.cc).
+ * containers *before* resetting.
  *
  * `ArenaAllocator<T>` adapts the arena to the standard allocator
  * interface so ordinary containers (`std::vector<T, ArenaAllocator<T>>`)

@@ -4,8 +4,9 @@
  * quantiles (p50/p99 export), and the solver-mode byte-identity
  * contract — oneshot, incremental and portfolio campaigns must
  * produce identical verdicts, experiment logs and metrics for any
- * thread count, cold or warm query cache, and under fault injection;
- * likewise batched vs unbatched simulation.
+ * thread count, cold or warm query cache, and under fault injection.
+ * The platform's simulate-once replay is checked against a
+ * per-repetition reference executor, and gated on its hw.runs count.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,12 +24,16 @@
 #include "core/expdb.hh"
 #include "core/pipeline.hh"
 #include "gen/templates.hh"
+#include "harness/platform.hh"
+#include "hw/core.hh"
 #include "obs/models.hh"
 #include "smt/modes.hh"
 #include "support/arena.hh"
+#include "support/env.hh"
 #include "support/faults.hh"
 #include "support/metrics.hh"
 #include "support/qcache/qcache.hh"
+#include "support/rng.hh"
 
 namespace scamv {
 namespace {
@@ -375,40 +382,310 @@ TEST(SolverModeEquivalence, LineCoverageFaultCampaign)
 }
 
 // ---------------------------------------------------------------------
-// Batched simulation
+// Simulation replay
 
-TEST(BatchedSimulation, OnOffByteIdentical)
+/** SCAMV_FUZZ_ITERS scale, like test_solver_fuzz. */
+int
+fuzzScale()
 {
-    auto run = [](int sim_batch, const char *tag) {
-        core::PipelineConfig cfg = lineCampaign();
-        cfg.platform.simBatch = sim_batch;
-        return runArtifacts(cfg, smt::SolverMode::Incremental, 1,
-                            tag);
-    };
-    const Artifacts off = run(0, "batch_off");
-    const Artifacts on = run(1, "batch_on");
-    EXPECT_FALSE(off.csv.empty());
-    EXPECT_EQ(off.metricsJson, on.metricsJson);
-    EXPECT_EQ(off.csv, on.csv);
+    return static_cast<int>(
+        envLong("SCAMV_FUZZ_ITERS", 1, 1000).value_or(1));
 }
 
-TEST(BatchedSimulation, BatchedFaultCampaignMatchesUnbatched)
+/**
+ * Reference executor: the per-repetition loop that
+ * harness::Platform::runExperiment replays.  Every repetition builds a
+ * fresh core and trains it; then, for each state, it prepares, primes,
+ * runs, applies the noise and flake draws and reads the channel.
+ */
+class PerRepReference
+{
+  public:
+    PerRepReference(const harness::PlatformConfig &config,
+                    std::uint64_t noise_seed)
+        : cfg(config), noiseRng(noise_seed)
+    {}
+
+    harness::ExperimentResult
+    runExperiment(const bir::Program &program, const harness::TestCase &tc,
+                  const std::optional<harness::ProgramInput> &training)
+    {
+        harness::ExperimentResult result;
+        result.totalReps = cfg.repeats;
+        int clean_differing = 0;
+        for (int rep = 0; rep < cfg.repeats; ++rep) {
+            const std::uint64_t faults_before = faults::injectedCount();
+            hw::Core core(cfg.core, cfg.boardSeed);
+            const harness::ProgramInput &warmup =
+                training ? *training : tc.s1;
+            for (int t = 0; t < cfg.trainingRuns; ++t) {
+                core.cache().reset();
+                core.prefetcher().reset();
+                core.memory().clear();
+                for (const auto &[addr, val] : warmup.mem)
+                    core.memory().store(addr, val);
+                core.run(program, warmup.regs);
+            }
+            const Measurement m1 = measure(core, program, tc.s1);
+            const Measurement m2 = measure(core, program, tc.s2);
+            const bool flaked = faults::injectedCount() != faults_before;
+            if (flaked)
+                ++result.flakedReps;
+            if (!(m1 == m2)) {
+                ++result.differingReps;
+                if (!flaked)
+                    ++clean_differing;
+            }
+        }
+        const int clean = result.totalReps - result.flakedReps;
+        if (result.flakedReps == 0 && result.differingReps == 0)
+            result.verdict = harness::Verdict::Indistinguishable;
+        else if (clean > 0 && clean_differing == clean)
+            result.verdict = harness::Verdict::Counterexample;
+        else
+            result.verdict = harness::Verdict::Inconclusive;
+        return result;
+    }
+
+  private:
+    struct Measurement {
+        hw::CacheState cache;
+        std::vector<std::uint64_t> probe;
+        hw::TlbState tlb;
+
+        bool operator==(const Measurement &) const = default;
+    };
+
+    std::uint64_t
+    lineAddr(std::uint64_t set, std::uint64_t way) const
+    {
+        const int shift = cfg.core.geom.lineShift();
+        return cfg.attackerArrayBase +
+               way * (cfg.core.geom.numSets << shift) + (set << shift);
+    }
+
+    void
+    strayAccess(hw::Core &core, std::uint64_t tag_base)
+    {
+        const int shift = cfg.core.geom.lineShift();
+        const std::uint64_t set =
+            cfg.visibleLoSet +
+            noiseRng.below(cfg.visibleHiSet - cfg.visibleLoSet + 1);
+        const std::uint64_t tag = tag_base + noiseRng.below(16);
+        core.cache().access(
+            (tag << (shift + cfg.core.geom.setShift())) | (set << shift));
+    }
+
+    Measurement
+    measure(hw::Core &core, const bir::Program &program,
+            const harness::ProgramInput &input)
+    {
+        core.cache().reset();
+        core.tlb().reset();
+        core.prefetcher().reset();
+        core.memory().clear();
+        for (const auto &[addr, val] : input.mem)
+            core.memory().store(addr, val);
+        const bool probing = cfg.channel == harness::Channel::PrimeProbe;
+        if (probing)
+            for (std::uint64_t set = cfg.visibleLoSet;
+                 set <= cfg.visibleHiSet; ++set)
+                for (std::uint64_t way = 0; way < cfg.core.geom.ways;
+                     ++way)
+                    core.cache().access(lineAddr(set, way));
+        core.run(program, input.regs);
+
+        if (cfg.noiseProbability > 0.0 &&
+            noiseRng.chance(cfg.noiseProbability)) {
+            metrics::current().counter("platform.noise_injections").inc();
+            strayAccess(core, 0x7fffULL);
+        }
+        if (faults::maybeInject(faults::Site::HwFlake))
+            strayAccess(core, 0x6eefULL);
+
+        Measurement m;
+        if (cfg.channel == harness::Channel::TlbSnapshot) {
+            m.tlb = core.tlb().snapshot();
+        } else if (probing) {
+            for (std::uint64_t set = cfg.visibleLoSet;
+                 set <= cfg.visibleHiSet; ++set) {
+                std::uint64_t total = 0;
+                for (std::uint64_t way = cfg.core.geom.ways; way > 0;
+                     --way)
+                    total += core.timedLoad(lineAddr(set, way - 1));
+                m.probe.push_back(total);
+            }
+        } else {
+            m.cache = core.cache().snapshot(cfg.visibleLoSet,
+                                            cfg.visibleHiSet);
+        }
+        return m;
+    }
+
+    harness::PlatformConfig cfg;
+    Rng noiseRng;
+};
+
+/** Random input: mostly line-aligned addresses into a 512 KiB region. */
+harness::ProgramInput
+randomInput(Rng &rng)
+{
+    auto word = [&rng] {
+        return rng.chance(0.8) ? 0x80000 + rng.below(0x80000 / 8) * 8
+                               : rng.below(1024);
+    };
+    harness::ProgramInput in;
+    for (std::uint64_t &r : in.regs.regs)
+        r = word();
+    for (int k = 0; k < 4; ++k)
+        in.mem.emplace_back(0x80000 + rng.below(0x80000 / 8) * 8, word());
+    return in;
+}
+
+struct Experiment {
+    harness::TestCase tc;
+    std::optional<harness::ProgramInput> training;
+};
+
+/** Results and replay-sensitive counters of one executor's run. */
+struct Replay {
+    std::vector<harness::ExperimentResult> results;
+    std::map<std::string, std::uint64_t> counters;
+};
+
+/**
+ * Run `exps` back to back through one executor, under one fault
+ * injector: a drift in the number of noise or fault draws one
+ * experiment makes shifts every draw of the next.
+ */
+template <class Executor>
+Replay
+runBackToBack(Executor &exec, const bir::Program &program,
+              const std::vector<Experiment> &exps,
+              const faults::FaultPlan &plan, int prog)
+{
+    metrics::Registry reg(metrics::ClockMode::Deterministic);
+    metrics::ScopedRegistry reg_scope(reg);
+    faults::Injector injector(plan, 42, prog);
+    faults::ScopedInjector inj_scope(injector);
+    Replay out;
+    for (const Experiment &e : exps)
+        out.results.push_back(
+            exec.runExperiment(program, e.tc, e.training));
+    for (const auto &[name, value] : reg.snapshot().counters)
+        if (name.starts_with("faults.injected") ||
+            name == "platform.noise_injections" ||
+            name.starts_with("hw.probe."))
+            out.counters[name] = value;
+    return out;
+}
+
+/**
+ * Differential check of Platform::runExperiment against the
+ * per-repetition reference over every channel, noise off and on, and
+ * with and without a mistraining input.
+ */
+void
+expectReplayMatchesReference(const faults::FaultPlan &plan)
+{
+    const int programs = 3 * fuzzScale();
+    std::map<harness::Verdict, int> verdicts;
+    int flaked_reps = 0;
+    for (harness::Channel channel :
+         {harness::Channel::TrustZoneSnapshot,
+          harness::Channel::PrimeProbe, harness::Channel::TlbSnapshot}) {
+        for (double noise : {0.0, 0.3}) {
+            for (bool train : {false, true}) {
+                harness::PlatformConfig pc;
+                pc.channel = channel;
+                pc.noiseProbability = noise;
+                gen::ProgramGenerator gen(gen::TemplateKind::A, 11);
+                Rng rng(29);
+                for (int i = 0; i < programs; ++i) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "channel " << static_cast<int>(channel)
+                                 << " noise " << noise << " train "
+                                 << train << " program " << i);
+                    const bir::Program program = gen.next();
+                    std::vector<Experiment> exps(2);
+                    for (Experiment &e : exps) {
+                        e.tc.s1 = randomInput(rng);
+                        e.tc.s2 =
+                            rng.chance(0.5) ? e.tc.s1 : randomInput(rng);
+                        if (train)
+                            e.training = randomInput(rng);
+                    }
+                    const std::uint64_t seed = 0x5eed0 + i;
+                    PerRepReference ref_exec(pc, seed);
+                    harness::Platform platform(pc, seed);
+                    const Replay ref =
+                        runBackToBack(ref_exec, program, exps, plan, i);
+                    const Replay got =
+                        runBackToBack(platform, program, exps, plan, i);
+                    ASSERT_EQ(got.results.size(), ref.results.size());
+                    for (std::size_t k = 0; k < ref.results.size(); ++k) {
+                        const auto &a = got.results[k];
+                        const auto &b = ref.results[k];
+                        EXPECT_EQ(a.verdict, b.verdict) << "exp " << k;
+                        EXPECT_EQ(a.differingReps, b.differingReps)
+                            << "exp " << k;
+                        EXPECT_EQ(a.totalReps, b.totalReps);
+                        EXPECT_EQ(a.flakedReps, b.flakedReps)
+                            << "exp " << k;
+                        ++verdicts[b.verdict];
+                        flaked_reps += b.flakedReps;
+                    }
+                    EXPECT_EQ(got.counters, ref.counters);
+                }
+            }
+        }
+    }
+    // The comparison must not pass vacuously.  Flaked repetitions
+    // can never certify agreement, so a fault plan this dense leaves
+    // no room for Indistinguishable verdicts.
+    EXPECT_GT(verdicts[harness::Verdict::Counterexample], 0);
+    EXPECT_GT(verdicts[harness::Verdict::Inconclusive], 0);
+    if (plan.enabled()) {
+        EXPECT_GT(flaked_reps, 0);
+    } else {
+        EXPECT_GT(verdicts[harness::Verdict::Indistinguishable], 0);
+    }
+}
+
+TEST(SimReplayFuzz, MatchesPerRepReference)
+{
+    expectReplayMatchesReference(faults::FaultPlan{});
+}
+
+TEST(SimReplayFuzz, MatchesPerRepReferenceUnderFaults)
 {
     faults::FaultPlan plan;
     plan.rate = 0.3;
     plan.mask = faults::FaultPlan::maskAll();
-    auto run = [&](int sim_batch, const char *tag) {
-        core::PipelineConfig cfg = pcCampaign();
-        cfg.faultPlan = plan;
-        cfg.retryMax = 2;
-        cfg.platform.simBatch = sim_batch;
-        return runArtifacts(cfg, smt::SolverMode::Incremental, 1,
-                            tag);
-    };
-    const Artifacts off = run(0, "fbatch_off");
-    const Artifacts on = run(1, "fbatch_on");
-    EXPECT_EQ(off.metricsJson, on.metricsJson);
-    EXPECT_EQ(off.csv, on.csv);
+    expectReplayMatchesReference(plan);
+}
+
+TEST(SimReplayCounters, HwRunsCountOneSimulationPerState)
+{
+    // Deterministic gate on the replay: each experiment simulates its
+    // training runs and its two measured states once, whatever the
+    // repetition count.  A return to per-repetition simulation
+    // multiplies hw.runs by `repeats` and fails here.
+    core::PipelineConfig cfg = pcCampaign();
+    const core::RunStats stats = core::Pipeline(cfg).run();
+    const auto &c = stats.metrics.counters;
+    const std::uint64_t experiments = c.at("platform.experiments");
+    ASSERT_GT(experiments, 0u);
+    EXPECT_EQ(c.at("hw.runs"),
+              experiments *
+                  static_cast<std::uint64_t>(cfg.platform.trainingRuns + 2));
+    EXPECT_EQ(c.at("platform.repetitions"),
+              experiments *
+                  static_cast<std::uint64_t>(cfg.platform.repeats));
+    EXPECT_EQ(c.at("platform.training_runs"),
+              experiments *
+                  static_cast<std::uint64_t>(cfg.platform.repeats *
+                                             cfg.platform.trainingRuns));
 }
 
 } // namespace
