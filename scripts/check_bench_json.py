@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate the JSON artifacts emitted by the bench smoke run.
 
-Three shapes are recognized (auto-detected per file):
+Eight shapes are recognized (auto-detected per file):
 
  - ``BENCH_parallel.json`` from bench/parallel_report.hh: campaign
    speedup entries, each of which must be marked deterministic;
@@ -15,11 +15,6 @@ Three shapes are recognized (auto-detected per file):
    bench/coverage_report.hh): per-template coverage-ledger atoms;
    when the bench's ``comparison`` section is present, the adaptive
    scheduler must beat uniform by its declared ``min_ratio``;
- - ``scamv-hotpath-v1`` from bench/hotpath_report.hh: hot-path
-   engine comparison (solver modes); every mode
-   must carry p50 <= p99 per-program latencies, the end-to-end
-   speedup must meet its declared ``min_speedup`` and the modes must
-   agree byte-for-byte (``deterministic``);
  - ``scamv-shard-v1`` from bench/shard_report.hh: sharded campaign
    comparison (N concurrent workers + coordinator merge vs the
    1-process reference); at least 2 shards, the end-to-end speedup
@@ -212,36 +207,6 @@ def check_coverage(path, doc):
           f"{len(templates)} templates)")
 
 
-def check_hotpath(path, doc):
-    modes = doc.get("modes")
-    if not isinstance(modes, dict) or not modes:
-        fail(path, "no modes recorded")
-    for name, entry in modes.items():
-        if not isinstance(entry, dict):
-            fail(path, f"mode {name!r} is not an object")
-        if not isinstance(entry.get("solver"), str):
-            fail(path, f"mode {name!r}: missing solver name")
-        for key in ("wall_s", "p50_program_s",
-                    "p99_program_s", "experiments", "counterexamples"):
-            if not is_num(entry.get(key)) or entry[key] < 0:
-                fail(path, f"mode {name!r}: {key!r} is not a "
-                           "non-negative number")
-        if entry["p50_program_s"] > entry["p99_program_s"]:
-            fail(path, f"mode {name!r}: p50 {entry['p50_program_s']} "
-                       f"exceeds p99 {entry['p99_program_s']}")
-    speedup = doc.get("speedup")
-    min_speedup = doc.get("min_speedup")
-    if not is_num(speedup) or not is_num(min_speedup):
-        fail(path, "missing numeric speedup/min_speedup")
-    if speedup < min_speedup:
-        fail(path, f"speedup {speedup} < {min_speedup} "
-                   "(hot-path engine is not paying for itself)")
-    if doc.get("deterministic") is not True:
-        fail(path, "solver modes disagree (deterministic != true)")
-    print(f"{path}: OK (hotpath speedup {speedup:.2f}x, "
-          f"{len(modes)} modes, deterministic)")
-
-
 def check_shard(path, doc):
     shards = doc.get("shards")
     if not isinstance(shards, int) or isinstance(shards, bool) \
@@ -361,6 +326,17 @@ def check_front(path, doc):
           f"compiles/s, deterministic, round-trips)")
 
 
+SCHEMA_CHECKERS = {
+    "scamv-metrics-v1": check_metrics,
+    "scamv-qcache-v1": check_qcache,
+    "scamv-coverage-v1": check_coverage,
+    "scamv-shard-v1": check_shard,
+    "scamv-triage-v1": check_triage,
+    "scamv-svc-v1": check_svc,
+    "scamv-front-v1": check_front,
+}
+
+
 def check_file(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -371,27 +347,15 @@ def check_file(path):
         fail(path, f"malformed JSON: {e}")
     if not isinstance(doc, dict):
         fail(path, "top level is not an object")
-    if doc.get("schema") == "scamv-metrics-v1":
-        check_metrics(path, doc)
-    elif doc.get("schema") == "scamv-qcache-v1":
-        check_qcache(path, doc)
-    elif doc.get("schema") == "scamv-coverage-v1":
-        check_coverage(path, doc)
-    elif doc.get("schema") == "scamv-hotpath-v1":
-        check_hotpath(path, doc)
-    elif doc.get("schema") == "scamv-shard-v1":
-        check_shard(path, doc)
-    elif doc.get("schema") == "scamv-triage-v1":
-        check_triage(path, doc)
-    elif doc.get("schema") == "scamv-svc-v1":
-        check_svc(path, doc)
-    elif doc.get("schema") == "scamv-front-v1":
-        check_front(path, doc)
+    checker = SCHEMA_CHECKERS.get(doc.get("schema"))
+    if checker:
+        checker(path, doc)
     elif "campaigns" in doc:
         check_parallel(path, doc)
     else:
-        fail(path, "unrecognized schema (neither scamv-metrics-v1 "
-                   "nor a parallel-bench report)")
+        fail(path, "unrecognized schema (neither one of "
+                   f"{', '.join(SCHEMA_CHECKERS)} nor a parallel-bench "
+                   "report)")
 
 
 def main(argv):

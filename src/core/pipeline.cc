@@ -147,71 +147,10 @@ namespace {
  * enumerator per path pair.  `dead` marks exhausted pairs — either
  * model blocking ran dry or the relation went Unsat/Unknown.
  */
-/**
- * One recorded mutation of a pair's live incremental solver (oneshot
- * solver mode).  What gets recorded follows what actually mutated the
- * solver: genuine solves (including budget exhaustions — they leave
- * learned clauses behind) are recorded in full; an injected
- * SmtUnknown returns before touching solver state and is not
- * recorded; an injected SatTimeout inside solveWith is recorded as
- * Prepare — the temporary was already blasted into the solver when
- * the search was cut short; see the delta gating at the recording
- * sites.
- */
-struct SolverOp {
-    enum class Kind { Solve, SolveWith, Prepare, Block };
-    Kind kind = Kind::Solve;
-    Expr temporary = nullptr; ///< SolveWith coverage constraint
-    std::int64_t budget = 0;  ///< conflict budget of the call
-};
-
 struct PairEnumerators {
     std::vector<std::unique_ptr<qcache::CachedEnumerator>> enums;
     std::vector<bool> dead;
-    /** Oneshot solver mode: per-pair op log, replayed onto a fresh
-     *  solver at every test (see replaySolverOps). */
-    std::vector<std::vector<SolverOp>> oplogs;
 };
-
-/**
- * Rebuild a pair's discarded solver by replaying its recorded op log
- * (oneshot solver mode).  The replay is invisible: the CDCL work was
- * already charged to the task registry when first performed, so
- * metrics go to a discarded scratch registry, and fault decisions are
- * suppressed (the original, counted attempt already made them) —
- * mirroring qcache::CachedEnumerator::ensureSolverAt.  Deterministic
- * CDCL makes the rebuilt state exact, which is what keeps oneshot
- * campaigns byte-identical to incremental ones.
- */
-void
-replaySolverOps(qcache::CachedEnumerator &en,
-                const std::vector<SolverOp> &ops,
-                const std::vector<Expr> &block_vars, int block_bits)
-{
-    metrics::Registry mute(metrics::ClockMode::Wall);
-    metrics::ScopedRegistry scope(mute);
-    faults::ScopedSuppress suppress;
-    smt::SmtSolver &solver = en.solver();
-    for (const SolverOp &op : ops) {
-        switch (op.kind) {
-          case SolverOp::Kind::Solve:
-            solver.solveNoInject(op.budget);
-            break;
-          case SolverOp::Kind::SolveWith:
-            // solveWith's SmtUnknown gate is a no-op under
-            // suppression (no injector installed, no attempt counter
-            // consumed).
-            solver.solveWith(op.temporary, op.budget);
-            break;
-          case SolverOp::Kind::Prepare:
-            solver.prepareTemporary(op.temporary);
-            break;
-          case SolverOp::Kind::Block:
-            solver.blockCurrentModel(block_vars, block_bits);
-            break;
-        }
-    }
-}
 
 /**
  * Record one bounded backoff step before a stage retry.  The delay
@@ -423,22 +362,6 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
         qc && cfg.strategy == SolveStrategy::Canonical &&
         cfg.coverage == Coverage::Pc;
 
-    // Solver-mode resolution (cfg.solverMode / SCAMV_SOLVER).  Modes
-    // reshape *how* the Canonical strategy reaches each model — fresh
-    // solver plus op-log replay (oneshot), one live solver
-    // (incremental), or incremental plus a sampler scout on genuine
-    // budget exhaustion (portfolio) — never *which* model, so every
-    // campaign artifact is byte-identical across modes
-    // (ctest-enforced).  Other strategies always take the incremental
-    // path: RandomPhases draws phases from the task rng (a replay
-    // would consume extra draws) and Sampler has its own search loop.
-    const smt::SolverMode solver_mode =
-        cfg.strategy == SolveStrategy::Canonical
-            ? cfg.solverMode.value_or(smt::SolverMode::Incremental)
-            : smt::SolverMode::Incremental;
-    const bool oneshot = solver_mode == smt::SolverMode::Oneshot;
-    const bool portfolio = solver_mode == smt::SolverMode::Portfolio;
-
     // Model-blocking variables: a pure function of the program's used
     // registers (every register variable already exists in ctx after
     // symbolic execution), hoisted out of the per-test loop.
@@ -447,8 +370,6 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
     PairEnumerators per_pair;
     per_pair.enums.resize(pairs.size());
     per_pair.dead.assign(pairs.size(), false);
-    if (oneshot)
-        per_pair.oplogs.resize(pairs.size());
 
     // Relation formulas, synthesized once per path pair: the formula
     // is a pure function of the pair, but it is needed by solver
@@ -492,7 +413,6 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
     std::size_t rr = 0; // round-robin cursor over path pairs
     int fault_failures = 0; // consecutive injected-fault test failures
     int plan_draw = 0; // monotone cursor into the adaptive class plan
-    int rescue_draws = 0; // portfolio scout rng derivations
 
     // One Mline coverage draw: least-covered-first from the round
     // plan when the adaptive scheduler supplied one, the classic
@@ -602,24 +522,7 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
                 if (cfg.strategy == SolveStrategy::RandomPhases)
                     en->solver().randomizePhases(rng);
 
-                // Oneshot mode: every test solves on a freshly built
-                // solver.  The uncached paths (which drive the raw
-                // solver below) rebuild it from this pair's op log;
-                // the cached path rebuilds lazily from the cache's
-                // own enumeration prefix on the next miss.
-                std::vector<SolverOp> *oplog =
-                    oneshot && !en->usesCache()
-                        ? &per_pair.oplogs[pair_idx]
-                        : nullptr;
-                if (oneshot && attempt == 0) {
-                    en->discardSolver();
-                    if (oplog && !oplog->empty())
-                        replaySolverOps(*en, *oplog, block_vars,
-                                        cfg.blockingBits);
-                }
-
                 smt::Outcome outcome = smt::Outcome::Unsat;
-                Expr last_cov = nullptr;
                 if (cfg.coverage == Coverage::PcAndLine) {
                     // Randomly drawn set-index classes often
                     // contradict the relation (e.g. distinct classes
@@ -633,41 +536,11 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
                         if (cov) {
                             line_cls1 = cov->class1;
                             line_cls2 = cov->class2;
-                            last_cov = cov->constraint;
                         }
-                        const std::uint64_t solve_inj0 =
-                            faults::injectedCount();
-                        const std::uint64_t sat_inj0 =
-                            faults::injectedCountAt(
-                                faults::Site::SatTimeout);
                         outcome =
                             cov ? en->solver().solveWith(
                                       cov->constraint, budget)
                                 : en->solver().solve(budget);
-                        // Record for replay what mutated the solver:
-                        // a clean call in full (a genuine exhaustion
-                        // leaves learned clauses behind); an injected
-                        // SmtUnknown not at all (it returns before
-                        // touching solver state); an injected
-                        // SatTimeout under a coverage constraint as a
-                        // blast-only Prepare (solveWith blasts the
-                        // temporary before the SAT core cuts the
-                        // search short).
-                        if (oplog &&
-                            faults::injectedCount() == solve_inj0) {
-                            oplog->push_back(
-                                {cov ? SolverOp::Kind::SolveWith
-                                     : SolverOp::Kind::Solve,
-                                 cov ? cov->constraint : nullptr,
-                                 budget});
-                        } else if (oplog && cov &&
-                                   faults::injectedCountAt(
-                                       faults::Site::SatTimeout) !=
-                                       sat_inj0) {
-                            oplog->push_back(
-                                {SolverOp::Kind::Prepare,
-                                 cov->constraint, 0});
-                        }
                         if (!cov)
                             break;
                     }
@@ -682,13 +555,7 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
                             per_pair.dead[pair_idx] = true;
                     }
                 } else {
-                    const std::uint64_t solve_inj0 =
-                        faults::injectedCount();
                     outcome = en->solver().solve(budget);
-                    if (oplog &&
-                        faults::injectedCount() == solve_inj0)
-                        oplog->push_back({SolverOp::Kind::Solve,
-                                          nullptr, budget});
                 }
 
                 if (outcome == smt::Outcome::Sat) {
@@ -697,48 +564,12 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
                         if (!en->solver().blockCurrentModel(
                                 block_vars, cfg.blockingBits))
                             per_pair.dead[pair_idx] = true;
-                        if (oplog)
-                            oplog->push_back(
-                                {SolverOp::Kind::Block, nullptr, 0});
                     }
                 } else if (cfg.coverage != Coverage::PcAndLine ||
                            outcome == smt::Outcome::Unknown) {
                     // Without per-test coverage constraints an Unsat
                     // relation stays Unsat: retire the pair.
                     retire_pair = true;
-                }
-
-                // Portfolio mode: on a *genuine* budget exhaustion —
-                // never an injected Unknown, which carries a nonzero
-                // injection delta and belongs to the retry machinery —
-                // race a repair-sampler scout over the same formula.
-                // The CDCL result stays authoritative for Sat/Unsat
-                // and the scout draws from its own derived rng, so a
-                // rescue never shifts the task rng stream: this fixed
-                // arbitration order keeps portfolio byte-identical to
-                // incremental whenever no rescue fires.
-                if (portfolio && !model &&
-                    outcome == smt::Outcome::Unknown &&
-                    faults::injectedCount() == before) {
-                    reg.counter("portfolio.rescue_attempts").inc();
-                    Rng scout_rng(deriveProgramSeed(
-                        prog_seed ^ 0x5c007eULL, rescue_draws++));
-                    smt::SamplerConfig scout_cfg;
-                    scout_cfg.regionBase = cfg.region.base;
-                    scout_cfg.regionLimit = cfg.region.limit();
-                    const Expr scout_f =
-                        last_cov ? ctx.land(pair_formula, last_cov)
-                                 : pair_formula;
-                    smt::RepairSampler scout(ctx, scout_f, scout_rng,
-                                             scout_cfg);
-                    if (auto rescued = scout.sample()) {
-                        // The rescued model is not blocked in the
-                        // solver (the solver never saw it) and the
-                        // pair stays live.
-                        model = std::move(rescued);
-                        retire_pair = false;
-                        reg.counter("portfolio.rescues").inc();
-                    }
                 }
             }
 
@@ -1415,12 +1246,6 @@ resolveCampaignEnv(PipelineConfig cfg)
     if (cfg.retryMax < 0)
         cfg.retryMax = static_cast<int>(
             envLong("SCAMV_RETRY_MAX", 0, 64).value_or(2));
-
-    // Solver mode: an explicitly configured mode wins, otherwise
-    // SCAMV_SOLVER (defaulting to incremental).  See PipelineConfig
-    // for the mode semantics and the byte-identity contract.
-    if (!cfg.solverMode)
-        cfg.solverMode = smt::solverModeFromEnv();
 
     // Query cache: an explicitly configured cache wins, otherwise the
     // environment-configured shared cache (SCAMV_QCACHE_MB /

@@ -59,7 +59,6 @@
 #include "gen/templates.hh"
 #include "harness/platform.hh"
 #include "obs/models.hh"
-#include "smt/modes.hh"
 #include "support/faults.hh"
 #include "support/metrics.hh"
 #include "triage/findings.hh"
@@ -169,20 +168,6 @@ struct PipelineConfig {
     cover::CoverageLedger *coverageLedger = nullptr;
 
     SolveStrategy strategy = SolveStrategy::Canonical;
-    /**
-     * How the per-pair SMT enumeration drives the solver (see
-     * smt/modes.hh): `Incremental` reuses one live solver per pair,
-     * `Oneshot` rebuilds a fresh solver per test by op-log replay
-     * (the benchmark baseline), `Portfolio` adds a repair-sampler
-     * rescue of genuine Unknown outcomes with fixed arbitration
-     * order.  Applies to the Canonical strategy only — RandomPhases
-     * consumes rng for phase selection and Sampler has its own path —
-     * other strategies silently use Incremental.  Unset resolves from
-     * the SCAMV_SOLVER environment variable (default incremental).
-     * All modes produce byte-identical campaign artifacts (ctest
-     * enforces this; see ARCHITECTURE.md, determinism invariants).
-     */
-    std::optional<smt::SolverMode> solverMode;
     std::int64_t conflictBudget = 200000;
     /** Redraws of an unsatisfiable Mline coverage class per test. */
     int coverageRetries = 8;
@@ -445,8 +430,8 @@ struct alignas(64) ProgramOutcome {
 /**
  * Resolve every environment-dependent knob of a campaign config the
  * way Pipeline::run() does — fault plan (SCAMV_FAULT_RATE /
- * SCAMV_FAULT_PLAN), retry budget (SCAMV_RETRY_MAX), solver mode
- * (SCAMV_SOLVER), schedule (SCAMV_SCHEDULE) and query cache
+ * SCAMV_FAULT_PLAN), retry budget (SCAMV_RETRY_MAX), schedule
+ * (SCAMV_SCHEDULE) and query cache
  * (SCAMV_QCACHE_MB / SCAMV_QCACHE_FILE, bypassed when the resolved
  * fault plan is enabled).  Idempotent.  Shard workers and the merge
  * coordinator resolve once and pass the result to the slice / merge

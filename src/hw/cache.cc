@@ -6,12 +6,10 @@
 
 namespace scamv::hw {
 
-Cache::Cache(const obs::CacheGeometry &geom, support::Arena *arena)
-    : geom(geom), lines(support::ArenaAllocator<Line>(arena))
-{
-    lines.assign(static_cast<std::size_t>(geom.numSets) * geom.ways,
-                 Line{});
-}
+Cache::Cache(const obs::CacheGeometry &geom)
+    : geom(geom),
+      lines(static_cast<std::size_t>(geom.numSets) * geom.ways)
+{}
 
 void
 Cache::reset()

@@ -116,14 +116,8 @@ struct RunResult {
 class Core
 {
   public:
-    /**
-     * @param arena optional backing arena for the cache lines, TLB
-     * entries and predictor PHT.  The arena must outlive the core and
-     * must only be reset after the core is destroyed.
-     */
     explicit Core(const CoreConfig &config = {},
-                  std::uint64_t board_seed = 0xb0a2dULL,
-                  support::Arena *arena = nullptr);
+                  std::uint64_t board_seed = 0xb0a2dULL);
 
     /** Run a program from an initial register state. */
     RunResult run(const bir::Program &program, const ArchState &init);

@@ -18,8 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/arena.hh"
-
 namespace scamv::hw {
 
 /** TLB configuration. */
@@ -37,10 +35,7 @@ using TlbState = std::vector<std::uint64_t>;
 class Tlb
 {
   public:
-    /** @param arena optional backing arena for the entry table (see
-     * Cache); must outlive the TLB. */
-    explicit Tlb(const TlbConfig &config = {},
-                 support::Arena *arena = nullptr);
+    explicit Tlb(const TlbConfig &config = {});
 
     /** Invalidate all entries. */
     void reset();
@@ -75,7 +70,7 @@ class Tlb
     }
 
     TlbConfig cfg;
-    std::vector<Entry, support::ArenaAllocator<Entry>> table;
+    std::vector<Entry> table;
     std::uint64_t lruClock = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;

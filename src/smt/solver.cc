@@ -224,14 +224,6 @@ SmtSolver::solveWith(Expr temporary, std::int64_t conflict_budget)
     return tallyQuery(Outcome::Unknown, t0);
 }
 
-void
-SmtSolver::prepareTemporary(Expr temporary)
-{
-    SCAMV_ASSERT(temporary->sort == expr::Sort::Bool,
-                 "prepareTemporary: non-boolean constraint");
-    blaster.boolLit(lowerAndAckermannize(temporary));
-}
-
 expr::Assignment
 SmtSolver::model()
 {

@@ -95,17 +95,6 @@ class SmtSolver
                       std::int64_t conflict_budget = 200000);
 
     /**
-     * Lower and bit-blast `temporary` without solving, exactly as
-     * solveWith would before handing it to the SAT core.  Exposed for
-     * op-log replay (oneshot solver mode): a solveWith call whose
-     * search was cut short by an injected SAT timeout has already
-     * blasted its constraint into the solver, and rebuilding that
-     * state must reproduce the blasting but not the search.
-     * Idempotent — blasting is memoized per expression.
-     */
-    void prepareTemporary(expr::Expr temporary);
-
-    /**
      * Extract the model as a concrete Assignment: every bitvector /
      * boolean variable in the formula plus per-memory-variable initial
      * words for all Ackermannized reads.  Only valid after Sat.

@@ -129,7 +129,6 @@ Injector::fire(Site site)
     if (u >= plan.rate)
         return false;
     ++injected;
-    ++injectedPerSite[i];
     metrics::Registry &reg = metrics::current();
     reg.counter("faults.injected").inc();
     reg.counter(std::string("faults.injected.") + siteName(site)).inc();
@@ -152,12 +151,6 @@ std::uint64_t
 injectedCount()
 {
     return tls_injector ? tls_injector->injectedCount() : 0;
-}
-
-std::uint64_t
-injectedCountAt(Site site)
-{
-    return tls_injector ? tls_injector->injectedCountAt(site) : 0;
 }
 
 ScopedInjector::ScopedInjector(Injector &injector) : prev(tls_injector)

@@ -119,20 +119,11 @@ class Injector
     /** @return total faults injected through this injector. */
     std::uint64_t injectedCount() const { return injected; }
 
-    /** @return faults injected at one site (op-log gating needs to
-     *  tell a pre-mutation SmtUnknown from a post-blast SatTimeout). */
-    std::uint64_t
-    injectedCountAt(Site site) const
-    {
-        return injectedPerSite[static_cast<int>(site)];
-    }
-
   private:
     FaultPlan plan;
     std::uint64_t seed;
     int prog;
     std::array<std::uint64_t, kSiteCount> attempts{};
-    std::array<std::uint64_t, kSiteCount> injectedPerSite{};
     std::uint64_t injected = 0;
 };
 
@@ -148,9 +139,6 @@ bool maybeInject(Site site);
 
 /** @return injected count of the installed injector, or 0. */
 std::uint64_t injectedCount();
-
-/** @return the installed injector's injected count at `site`, or 0. */
-std::uint64_t injectedCountAt(Site site);
 
 /** Install an injector as the calling thread's `current()` (RAII). */
 class ScopedInjector

@@ -198,13 +198,6 @@ CachedEnumerator::solver()
     return *solver_;
 }
 
-void
-CachedEnumerator::discardSolver()
-{
-    solver_.reset();
-    solverStep_ = 0;
-}
-
 CachedEnumerator::Step
 CachedEnumerator::next(std::int64_t conflict_budget)
 {

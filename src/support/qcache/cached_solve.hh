@@ -129,14 +129,6 @@ class CachedEnumerator
      */
     smt::SmtSolver &solver();
 
-    /**
-     * Drop the live solver (oneshot solver mode).  The next solver()
-     * or uncached next() call rebuilds it from scratch, replaying the
-     * enumeration prefix — the step counter is untouched, so cached
-     * hits and the logical enumeration position are unaffected.
-     */
-    void discardSolver();
-
     expr::Expr formula() const { return formula_; }
 
   private:

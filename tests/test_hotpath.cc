@@ -1,11 +1,10 @@
 /**
  * @file
- * Hot-path engine tests: the support/arena bump allocator, histogram
- * quantiles (p50/p99 export), and the solver-mode byte-identity
- * contract — oneshot, incremental and portfolio campaigns must
- * produce identical verdicts, experiment logs and metrics for any
- * thread count, cold or warm query cache, and under fault injection.
- * The platform's simulate-once replay is checked against a
+ * Hot-path engine tests: histogram quantiles (p50/p99 export), and
+ * campaign identity — the incremental per-pair solver must produce
+ * identical verdicts, experiment logs and metrics for any thread
+ * count, cold or warm query cache, and under fault injection.  The
+ * platform's simulate-once replay is checked against a
  * per-repetition reference executor, and gated on its hw.runs count.
  */
 
@@ -13,7 +12,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -27,8 +25,6 @@
 #include "harness/platform.hh"
 #include "hw/core.hh"
 #include "obs/models.hh"
-#include "smt/modes.hh"
-#include "support/arena.hh"
 #include "support/env.hh"
 #include "support/faults.hh"
 #include "support/metrics.hh"
@@ -37,93 +33,6 @@
 
 namespace scamv {
 namespace {
-
-// ---------------------------------------------------------------------
-// support/arena
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint)
-{
-    support::Arena arena(256);
-    auto *a = static_cast<std::byte *>(arena.allocate(10, 1));
-    auto *b = static_cast<std::byte *>(arena.allocate(16, 16));
-    auto *c = static_cast<std::byte *>(arena.allocate(1, 64));
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 16, 0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
-    // Writable and disjoint: filling one region must not clobber
-    // another.
-    std::fill(a, a + 10, std::byte{0xaa});
-    std::fill(b, b + 16, std::byte{0xbb});
-    EXPECT_EQ(a[0], std::byte{0xaa});
-    EXPECT_EQ(b[0], std::byte{0xbb});
-    EXPECT_GE(arena.used(), 27u);
-    EXPECT_GE(arena.capacity(), arena.used());
-}
-
-TEST(Arena, ResetRetainsCapacityAndReusesBlocks)
-{
-    support::Arena arena(128);
-    for (int i = 0; i < 64; ++i)
-        arena.allocate(32, 8);
-    const std::size_t cap = arena.capacity();
-    EXPECT_GT(cap, 0u);
-
-    arena.reset();
-    EXPECT_EQ(arena.used(), 0u);
-    EXPECT_EQ(arena.capacity(), cap);
-
-    // Steady state: the same allocation pattern fits in the retained
-    // blocks without growing.
-    for (int i = 0; i < 64; ++i)
-        arena.allocate(32, 8);
-    EXPECT_EQ(arena.capacity(), cap);
-}
-
-TEST(Arena, OversizedAllocationGetsDedicatedBlock)
-{
-    support::Arena arena(64);
-    auto *p = arena.allocate(4096, 8);
-    ASSERT_NE(p, nullptr);
-    EXPECT_GE(arena.capacity(), 4096u);
-    // And the arena still serves small allocations afterwards.
-    EXPECT_NE(arena.allocate(8, 8), nullptr);
-}
-
-TEST(Arena, ZeroByteAllocationYieldsUniquePointer)
-{
-    support::Arena arena;
-    EXPECT_NE(arena.allocate(0, 1), arena.allocate(0, 1));
-}
-
-TEST(ArenaAllocator, VectorUsesArenaAndResetReclaims)
-{
-    support::Arena arena(1024);
-    {
-        support::ArenaAllocator<std::uint64_t> alloc(&arena);
-        std::vector<std::uint64_t,
-                    support::ArenaAllocator<std::uint64_t>>
-            v(alloc);
-        v.assign(100, 7);
-        EXPECT_GE(arena.used(), 100 * sizeof(std::uint64_t));
-        EXPECT_EQ(v[99], 7u);
-    } // container destroyed before reset, per the arena contract
-    const std::size_t cap = arena.capacity();
-    arena.reset();
-    EXPECT_EQ(arena.used(), 0u);
-    EXPECT_EQ(arena.capacity(), cap);
-}
-
-TEST(ArenaAllocator, FallsBackToHeapWithoutArena)
-{
-    std::vector<int, support::ArenaAllocator<int>> v;
-    v.assign(1000, 3);
-    EXPECT_EQ(v[999], 3);
-    // Equality is arena identity.
-    support::Arena arena;
-    support::ArenaAllocator<int> heap1, heap2, backed(&arena);
-    EXPECT_TRUE(heap1 == heap2);
-    EXPECT_FALSE(heap1 == backed);
-}
 
 // ---------------------------------------------------------------------
 // Histogram quantiles (p50/p99 metric export)
@@ -182,22 +91,7 @@ TEST(HistogramQuantile, JsonExportCarriesPercentiles)
 }
 
 // ---------------------------------------------------------------------
-// Solver modes
-
-TEST(SolverMode, EnvParsing)
-{
-    unsetenv("SCAMV_SOLVER");
-    EXPECT_EQ(smt::solverModeFromEnv(), smt::SolverMode::Incremental);
-    setenv("SCAMV_SOLVER", "oneshot", 1);
-    EXPECT_EQ(smt::solverModeFromEnv(), smt::SolverMode::Oneshot);
-    setenv("SCAMV_SOLVER", "portfolio", 1);
-    EXPECT_EQ(smt::solverModeFromEnv(), smt::SolverMode::Portfolio);
-    setenv("SCAMV_SOLVER", "bogus", 1);
-    EXPECT_EQ(smt::solverModeFromEnv(), smt::SolverMode::Incremental);
-    unsetenv("SCAMV_SOLVER");
-    EXPECT_STREQ(smt::solverModeName(smt::SolverMode::Oneshot),
-                 "oneshot");
-}
+// Campaign identity
 
 /** Campaign artifacts two runs must agree on, byte for byte. */
 struct Artifacts {
@@ -253,12 +147,10 @@ pcCampaign()
 }
 
 Artifacts
-runArtifacts(core::PipelineConfig cfg, smt::SolverMode mode,
-             int threads, const char *tag,
+runArtifacts(core::PipelineConfig cfg, int threads, const char *tag,
              qcache::QueryCache *qc = nullptr)
 {
     core::ExperimentDb db;
-    cfg.solverMode = mode;
     cfg.threads = threads;
     cfg.queryCache = qc;
     cfg.database = &db;
@@ -267,78 +159,41 @@ runArtifacts(core::PipelineConfig cfg, smt::SolverMode mode,
             stats.counterexamples};
 }
 
-constexpr smt::SolverMode kModes[] = {smt::SolverMode::Oneshot,
-                                      smt::SolverMode::Incremental,
-                                      smt::SolverMode::Portfolio};
-
-TEST(SolverModeEquivalence, LineCoverageAcrossModesAndThreads)
+TEST(CampaignIdentity, LineCoverageAcrossThreads)
 {
-    const Artifacts ref = runArtifacts(
-        lineCampaign(), smt::SolverMode::Incremental, 1, "line_ref");
+    const Artifacts ref = runArtifacts(lineCampaign(), 1, "line_ref");
     EXPECT_FALSE(ref.csv.empty());
-    for (smt::SolverMode mode : kModes) {
-        for (int threads : {1, 4}) {
-            const Artifacts got = runArtifacts(lineCampaign(), mode,
-                                               threads, "line");
-            EXPECT_EQ(got.metricsJson, ref.metricsJson)
-                << smt::solverModeName(mode) << " x" << threads;
-            EXPECT_EQ(got.csv, ref.csv)
-                << smt::solverModeName(mode) << " x" << threads;
-            EXPECT_EQ(got.counterexamples, ref.counterexamples);
-        }
-    }
+    const Artifacts got = runArtifacts(lineCampaign(), 4, "line");
+    EXPECT_EQ(got.metricsJson, ref.metricsJson);
+    EXPECT_EQ(got.csv, ref.csv);
+    EXPECT_EQ(got.counterexamples, ref.counterexamples);
 }
 
-TEST(SolverModeEquivalence, PcCoverageColdAndWarmCache)
+TEST(CampaignIdentity, PcCoverageColdAndWarmCache)
 {
-    // Two references: cached and uncached campaigns differ in their
-    // metric tick sequences (the cache layer makes its own clock
-    // observations), so each configuration is compared against a
-    // reference of the same kind — the repo invariant is cold == warm
-    // == any thread count *within* a cache configuration, plus mode
-    // equivalence across the board.
-    const Artifacts ref = runArtifacts(
-        pcCampaign(), smt::SolverMode::Incremental, 1, "pc_ref");
+    // Cached and uncached campaigns differ in their metric tick
+    // sequences (the cache layer makes its own clock observations),
+    // so metrics are compared within a cache configuration — the repo
+    // invariant is cold == warm == any thread count — and the
+    // experiment log across both.
+    const Artifacts ref = runArtifacts(pcCampaign(), 1, "pc_ref");
     EXPECT_FALSE(ref.csv.empty());
-    qcache::QueryCache ref_qc({8 << 20, ""});
-    const Artifacts cref =
-        runArtifacts(pcCampaign(), smt::SolverMode::Incremental, 1,
-                     "pc_cref", &ref_qc);
-    EXPECT_EQ(cref.csv, ref.csv);
-    for (smt::SolverMode mode : kModes) {
-        // Cold, uncached.
-        const Artifacts cold =
-            runArtifacts(pcCampaign(), mode, 1, "pc_cold");
-        EXPECT_EQ(cold.metricsJson, ref.metricsJson)
-            << smt::solverModeName(mode);
-        EXPECT_EQ(cold.csv, ref.csv) << smt::solverModeName(mode);
 
-        // Cold through a fresh cache, then warm: the second campaign
-        // through the same cache replays every enumeration step from
-        // cached entries, at a different thread count.
-        qcache::QueryCache qc({8 << 20, ""});
-        const Artifacts ccold =
-            runArtifacts(pcCampaign(), mode, 1, "pc_ccold", &qc);
-        EXPECT_EQ(ccold.metricsJson, cref.metricsJson)
-            << smt::solverModeName(mode) << " cached cold";
-        EXPECT_EQ(ccold.csv, cref.csv)
-            << smt::solverModeName(mode) << " cached cold";
-        const Artifacts warm =
-            runArtifacts(pcCampaign(), mode, 4, "pc_warm", &qc);
-        EXPECT_EQ(warm.metricsJson, cref.metricsJson)
-            << smt::solverModeName(mode) << " warm";
-        EXPECT_EQ(warm.csv, cref.csv)
-            << smt::solverModeName(mode) << " warm";
-    }
+    // Cold through a fresh cache, then warm: the second campaign
+    // through the same cache replays every enumeration step from
+    // cached entries, at a different thread count.
+    qcache::QueryCache qc({8 << 20, ""});
+    const Artifacts cold = runArtifacts(pcCampaign(), 1, "pc_cold", &qc);
+    EXPECT_EQ(cold.csv, ref.csv);
+    const Artifacts warm = runArtifacts(pcCampaign(), 4, "pc_warm", &qc);
+    EXPECT_EQ(warm.metricsJson, cold.metricsJson);
+    EXPECT_EQ(warm.csv, cold.csv);
 }
 
-TEST(SolverModeEquivalence, FaultInjectionAllSites)
+TEST(CampaignIdentity, FaultInjectionAllSites)
 {
-    // SCAMV_FAULT_PLAN=all equivalent: every site armed.  Injected
-    // Unknowns leave solver state untouched, so they are neither
-    // recorded in oneshot op logs nor rescued by the portfolio scout
-    // — the three modes must replay the fault campaign byte-
-    // identically at any thread count.
+    // SCAMV_FAULT_PLAN=all equivalent: every site armed.  The fault
+    // campaign must replay byte-identically at any thread count.
     faults::FaultPlan plan;
     plan.rate = 0.3;
     plan.mask = faults::FaultPlan::maskAll();
@@ -347,21 +202,13 @@ TEST(SolverModeEquivalence, FaultInjectionAllSites)
     base.faultPlan = plan;
     base.retryMax = 2;
 
-    const Artifacts ref = runArtifacts(
-        base, smt::SolverMode::Incremental, 1, "fault_ref");
-    for (smt::SolverMode mode : kModes) {
-        for (int threads : {1, 4}) {
-            const Artifacts got =
-                runArtifacts(base, mode, threads, "fault");
-            EXPECT_EQ(got.metricsJson, ref.metricsJson)
-                << smt::solverModeName(mode) << " x" << threads;
-            EXPECT_EQ(got.csv, ref.csv)
-                << smt::solverModeName(mode) << " x" << threads;
-        }
-    }
+    const Artifacts ref = runArtifacts(base, 1, "fault_ref");
+    const Artifacts got = runArtifacts(base, 4, "fault");
+    EXPECT_EQ(got.metricsJson, ref.metricsJson);
+    EXPECT_EQ(got.csv, ref.csv);
 }
 
-TEST(SolverModeEquivalence, LineCoverageFaultCampaign)
+TEST(CampaignIdentity, LineCoverageFaultCampaign)
 {
     faults::FaultPlan plan;
     plan.rate = 0.3;
@@ -371,14 +218,10 @@ TEST(SolverModeEquivalence, LineCoverageFaultCampaign)
     base.faultPlan = plan;
     base.retryMax = 2;
 
-    const Artifacts ref = runArtifacts(
-        base, smt::SolverMode::Incremental, 1, "lfault_ref");
-    for (smt::SolverMode mode : kModes) {
-        const Artifacts got = runArtifacts(base, mode, 4, "lfault");
-        EXPECT_EQ(got.metricsJson, ref.metricsJson)
-            << smt::solverModeName(mode);
-        EXPECT_EQ(got.csv, ref.csv) << smt::solverModeName(mode);
-    }
+    const Artifacts ref = runArtifacts(base, 1, "lfault_ref");
+    const Artifacts got = runArtifacts(base, 4, "lfault");
+    EXPECT_EQ(got.metricsJson, ref.metricsJson);
+    EXPECT_EQ(got.csv, ref.csv);
 }
 
 // ---------------------------------------------------------------------

@@ -157,7 +157,7 @@ class ShardTest : public testing::Test
               "SCAMV_FAULT_RATE", "SCAMV_FAULT_PLAN",
               "SCAMV_SCHEDULE", "SCAMV_COVERAGE_FILE",
               "SCAMV_METRICS", "SCAMV_METRICS_TABLE",
-              "SCAMV_THREADS", "SCAMV_RETRY_MAX", "SCAMV_SOLVER",
+              "SCAMV_THREADS", "SCAMV_RETRY_MAX",
               "SCAMV_SHARD", "SCAMV_SHARD_DIR"})
             unsetenv(var);
     }

@@ -144,7 +144,7 @@ class SvcTest : public testing::Test
               "SCAMV_FAULT_RATE", "SCAMV_FAULT_PLAN",
               "SCAMV_SCHEDULE", "SCAMV_COVERAGE_FILE",
               "SCAMV_METRICS", "SCAMV_METRICS_TABLE",
-              "SCAMV_THREADS", "SCAMV_RETRY_MAX", "SCAMV_SOLVER",
+              "SCAMV_THREADS", "SCAMV_RETRY_MAX",
               "SCAMV_SHARD", "SCAMV_SHARD_DIR", "SCAMV_TRIAGE",
               "SCAMV_MINIMIZE", "SCAMV_FINDINGS_FILE",
               "SCAMV_SVC_DIR", "SCAMV_SVC_SOCKET",
