@@ -3,14 +3,13 @@
  * The "scamv-shard-v1" transfer artifact: lossless text serialization
  * of a campaign slice's per-program outcomes.
  *
- * Format conventions follow the qcache checkpoint ("scamv-qcache-v1",
- * support/qcache): line-oriented, space-separated fields, every line
- * ending in an fnv1a checksum over the line's prefix; string fields
- * are percent-escaped so names with spaces ("Template A#3") and
- * multi-line program text survive.  A *program group* — the P line
- * and everything up to the next P line — is the unit of damage: any
- * invalid line drops the whole group (a partial outcome would corrupt
- * the merge), mirroring qcache's drop-and-count record handling.
+ * Every line is a support/linecodec sealed line, like the qcache
+ * checkpoint ("scamv-qcache-v1"); string fields are percent-escaped
+ * so names with spaces ("Template A#3") and multi-line program text
+ * survive.  A *program group* — the P line and everything up to the
+ * next P line — is the unit of damage: any invalid line drops the
+ * whole group (a partial outcome would corrupt the merge), mirroring
+ * qcache's drop-and-count record handling.
  *
  * Workers serialize raw per-program data, never aggregates: the
  * coordinator re-folds outcomes in program-index order through the
@@ -21,199 +20,40 @@
 
 #include "shard/shard.hh"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "support/faults.hh"
+#include "support/linecodec.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "support/qcache/canon.hh"
+#include "support/qcache/qcache.hh"
 
 namespace scamv::shard {
 namespace {
 
+using linecodec::esc;
+using linecodec::g17;
+using linecodec::hex;
+using linecodec::hex16;
+using linecodec::parseDouble;
+using linecodec::parseHex;
+using linecodec::parseI64;
+using linecodec::parseInt;
+using linecodec::parseU64;
+using linecodec::split;
+using linecodec::unesc;
+
 constexpr const char *kHeader = "scamv-shard-v1";
-constexpr const char *kQcacheHeader = "scamv-qcache-v1";
 
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return buf;
-}
-
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-/** Percent-escape a field: no spaces, no newlines, never empty. */
-std::string
-esc(std::string_view s)
-{
-    if (s.empty())
-        return "-";
-    if (s == "-")
-        return "%2D";
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        const unsigned char u = static_cast<unsigned char>(c);
-        if (c == '%' || c == ' ' || u < 0x20) {
-            char buf[4];
-            std::snprintf(buf, sizeof buf, "%%%02X", u);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-int
-hexNibble(char c)
-{
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F')
-        return c - 'A' + 10;
-    return -1;
-}
-
-std::optional<std::string>
-unesc(std::string_view s)
-{
-    if (s == "-")
-        return std::string();
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '%') {
-            out += s[i];
-            continue;
-        }
-        if (i + 2 >= s.size())
-            return std::nullopt;
-        const int hi = hexNibble(s[i + 1]);
-        const int lo = hexNibble(s[i + 2]);
-        if (hi < 0 || lo < 0)
-            return std::nullopt;
-        out += static_cast<char>(hi * 16 + lo);
-        i += 2;
-    }
-    return out;
-}
-
-/** Append `line` with its trailing fnv1a checksum field. */
+/** Append `line`, sealed, as one line of `out`. */
 void
-pushLine(std::string &out, const std::string &line)
+pushLine(std::string &out, std::string line)
 {
-    out += line;
-    out += ' ';
-    out += hex16(qcache::fnv1a(line));
+    out += linecodec::seal(std::move(line));
     out += '\n';
-}
-
-/**
- * Validate a line's trailing checksum and strip it.
- * @return the line's prefix, or nullopt when the checksum field is
- * missing or does not match.
- */
-std::optional<std::string_view>
-checkLine(std::string_view line)
-{
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string_view::npos ||
-        line.size() - space - 1 != 16)
-        return std::nullopt;
-    const std::string_view prefix = line.substr(0, space);
-    std::uint64_t sum = 0;
-    for (char c : line.substr(space + 1)) {
-        const int nib = hexNibble(c);
-        if (nib < 0)
-            return std::nullopt;
-        sum = sum * 16 + static_cast<std::uint64_t>(nib);
-    }
-    if (sum != qcache::fnv1a(prefix))
-        return std::nullopt;
-    return prefix;
-}
-
-std::vector<std::string_view>
-splitFields(std::string_view s)
-{
-    std::vector<std::string_view> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t space = s.find(' ', pos);
-        if (space == std::string_view::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, space - pos));
-        pos = space + 1;
-    }
-    return out;
-}
-
-bool
-parseU64(std::string_view s, std::uint64_t &out, int base = 10)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    char buf[24];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtoull(buf, &end, base);
-    return end == buf + s.size();
-}
-
-bool
-parseI64(std::string_view s, std::int64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    char buf[24];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtoll(buf, &end, 10);
-    return end == buf + s.size();
-}
-
-bool
-parseInt(std::string_view s, int &out)
-{
-    std::int64_t v = 0;
-    if (!parseI64(s, v) || v < INT32_MIN || v > INT32_MAX)
-        return false;
-    out = static_cast<int>(v);
-    return true;
-}
-
-bool
-parseDouble(std::string_view s, double &out)
-{
-    if (s.empty() || s.size() > 40)
-        return false;
-    char buf[48];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtod(buf, &end);
-    return end == buf + s.size();
 }
 
 /** Sparse register list: "i:hex,i:hex" over non-zero regs, "-" if
@@ -227,9 +67,7 @@ encodeRegs(const hw::ArchState &regs)
             continue;
         if (!out.empty())
             out += ',';
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%zu:%" PRIx64, i, regs.regs[i]);
-        out += buf;
+        out += std::to_string(i) + ':' + hex(regs.regs[i]);
     }
     return out.empty() ? "-" : out;
 }
@@ -251,7 +89,7 @@ decodeRegs(std::string_view s, hw::ArchState &out)
             return false;
         std::uint64_t idx = 0, val = 0;
         if (!parseU64(item.substr(0, colon), idx) ||
-            !parseU64(item.substr(colon + 1), val, 16) ||
+            !parseHex(item.substr(colon + 1), val) ||
             idx >= out.regs.size())
             return false;
         out.regs[idx] = val;
@@ -269,10 +107,7 @@ encodeMem(const harness::MemInit &mem)
     for (const auto &[addr, word] : mem) {
         if (!out.empty())
             out += ',';
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "%" PRIx64 ":%" PRIx64, addr,
-                      word);
-        out += buf;
+        out += hex(addr) + ':' + hex(word);
     }
     return out.empty() ? "-" : out;
 }
@@ -293,8 +128,8 @@ decodeMem(std::string_view s, harness::MemInit &out)
         if (colon == std::string_view::npos)
             return false;
         std::uint64_t addr = 0, word = 0;
-        if (!parseU64(item.substr(0, colon), addr, 16) ||
-            !parseU64(item.substr(colon + 1), word, 16))
+        if (!parseHex(item.substr(0, colon), addr) ||
+            !parseHex(item.substr(colon + 1), word))
             return false;
         out.emplace_back(addr, word);
         pos = comma + 1;
@@ -311,21 +146,21 @@ encodeOutcome(std::string &out, int k,
                            (o.quarantined ? 4u : 0u);
     pushLine(out, "P " + std::to_string(k) + ' ' +
                       std::to_string(flags) + ' ' + esc(o.name) + ' ' +
-                      fmtDouble(o.firstCexOffsetSeconds) + ' ' +
-                      fmtDouble(o.taskSeconds));
+                      g17(o.firstCexOffsetSeconds) + ' ' +
+                      g17(o.taskSeconds));
     for (const auto &[key, val] : o.metrics.counters)
         pushLine(out, "C " + esc(key) + ' ' + std::to_string(val));
     for (const auto &[key, val] : o.metrics.gauges)
-        pushLine(out, "G " + esc(key) + ' ' + fmtDouble(val));
+        pushLine(out, "G " + esc(key) + ' ' + g17(val));
     for (const auto &[key, h] : o.metrics.histograms) {
         std::string line = "H " + esc(key) + ' ' +
                            std::to_string(h.bounds.size());
         for (double b : h.bounds)
-            line += ' ' + fmtDouble(b);
+            line += ' ' + g17(b);
         line += ' ' + std::to_string(h.counts.size());
         for (std::uint64_t c : h.counts)
             line += ' ' + std::to_string(c);
-        line += ' ' + std::to_string(h.count) + ' ' + fmtDouble(h.sum);
+        line += ' ' + std::to_string(h.count) + ' ' + g17(h.sum);
         pushLine(out, line);
     }
     const cover::ProgramDelta &d = o.coverDelta;
@@ -341,7 +176,7 @@ encodeOutcome(std::string &out, int k,
             pushLine(out, "K " + std::to_string(cls) + ' ' +
                               std::to_string(st.hits) + ' ' +
                               std::to_string(st.draws) + ' ' +
-                              fmtDouble(st.solverSeconds));
+                              g17(st.solverSeconds));
         for (const auto &[pair, n] : d.pathPairs)
             pushLine(out,
                      "Q " + esc(pair) + ' ' + std::to_string(n));
@@ -389,7 +224,7 @@ struct GroupParse {
 bool
 parseGroupLine(std::string_view prefix, GroupParse &group)
 {
-    const std::vector<std::string_view> f = splitFields(prefix);
+    const std::vector<std::string_view> f = split(prefix);
     if (f.empty())
         return false;
     core::ProgramOutcome &o = group.outcome;
@@ -575,15 +410,15 @@ decodeSlice(std::string_view text)
     const auto header_line = nextLine();
     if (!header_line)
         return std::nullopt;
-    const auto header = checkLine(*header_line);
+    const auto header = linecodec::unseal(*header_line);
     if (!header)
         return std::nullopt;
-    const std::vector<std::string_view> hf = splitFields(*header);
+    const std::vector<std::string_view> hf = split(*header);
     DecodedSlice out;
     std::uint64_t seed = 0;
     if (hf.size() != 9 || hf[0] != kHeader ||
         !parseInt(hf[1], out.spec.index) ||
-        !parseInt(hf[2], out.spec.count) || !parseU64(hf[3], seed, 16) ||
+        !parseInt(hf[2], out.spec.count) || !parseHex(hf[3], seed) ||
         !parseInt(hf[4], out.programs) ||
         !parseInt(hf[5], out.slice.first) ||
         !parseInt(hf[6], out.slice.count) ||
@@ -612,11 +447,11 @@ decodeSlice(std::string_view text)
     while (const auto line = nextLine()) {
         if (line->empty())
             continue;
-        const auto prefix = checkLine(*line);
+        const auto prefix = linecodec::unseal(*line);
         if (prefix && !prefix->empty() && prefix->front() == 'P') {
             commit();
             const std::vector<std::string_view> f =
-                splitFields(*prefix);
+                split(*prefix);
             int k = -1;
             std::uint64_t flags = 0;
             double cex = 0, task = 0;
@@ -665,15 +500,15 @@ mergeQcacheFiles(const std::vector<std::string> &inputs,
 {
     metrics::Counter &dropped =
         metrics::Registry::global().counter("shard.load_dropped");
-    std::string out = std::string(kQcacheHeader) + "\n";
-    std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+    std::string out = std::string(qcache::kFileHeader) + "\n";
+    std::unordered_set<qcache::Key, qcache::KeyHash> seen;
     std::uint64_t written = 0;
     for (const std::string &path : inputs) {
         std::ifstream in(path, std::ios::binary);
         if (!in)
             continue; // cache disabled on that shard
         std::string line;
-        if (!std::getline(in, line) || line != kQcacheHeader) {
+        if (!std::getline(in, line) || line != qcache::kFileHeader) {
             warn("shard: foreign qcache checkpoint " + path +
                  ", skipping");
             dropped.inc();
@@ -682,29 +517,12 @@ mergeQcacheFiles(const std::vector<std::string> &inputs,
         while (std::getline(in, line)) {
             if (line.empty())
                 continue;
-            // Validate like qcache load: checksum over the prefix
-            // before the final space (qcache writes unpadded %llx
-            // hex, so the field width varies), 7 non-empty fields,
-            // hex key.
-            const std::string_view lv = line;
-            const std::size_t space = lv.rfind(' ');
-            bool ok = space != std::string_view::npos;
-            std::uint64_t sum = 0, hi = 0, lo = 0;
-            ok = ok && parseU64(lv.substr(space + 1), sum, 16) &&
-                 sum == qcache::fnv1a(lv.substr(0, space));
-            if (ok) {
-                const std::vector<std::string_view> f =
-                    splitFields(lv.substr(0, space));
-                ok = f.size() == 6 && parseU64(f[0], hi, 16) &&
-                     parseU64(f[1], lo, 16);
-                for (const std::string_view &field : f)
-                    ok = ok && !field.empty();
-            }
-            if (!ok) {
+            const auto rec = qcache::decodeRecord(line);
+            if (!rec) {
                 dropped.inc();
                 continue;
             }
-            if (!seen.emplace(hi, lo).second)
+            if (!seen.insert(rec->first).second)
                 continue; // keep-first, as QueryCache::store does
             out += line;
             out += '\n';

@@ -14,10 +14,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "shard/shard.hh"
+#include "support/linecodec.hh"
 
 namespace {
 
@@ -58,7 +58,7 @@ main(int argc, char **argv)
         };
         if (arg == "--shards") {
             const char *v = next();
-            if (!v || (shards = std::atoi(v)) < 1)
+            if (!v || !linecodec::parseInt(v, shards) || shards < 1)
                 return usage(argv[0]);
         } else if (arg == "--dir") {
             const char *v = next();
@@ -67,17 +67,16 @@ main(int argc, char **argv)
             dir = v;
         } else if (arg == "--programs") {
             const char *v = next();
-            if (!v || (programs = std::atoi(v)) < 1)
+            if (!v || !linecodec::parseInt(v, programs) || programs < 1)
                 return usage(argv[0]);
         } else if (arg == "--tests") {
             const char *v = next();
-            if (!v || (tests = std::atoi(v)) < 1)
+            if (!v || !linecodec::parseInt(v, tests) || tests < 1)
                 return usage(argv[0]);
         } else if (arg == "--seed") {
             const char *v = next();
-            if (!v)
+            if (!v || !linecodec::parseU64(v, seed))
                 return usage(argv[0]);
-            seed = std::strtoull(v, nullptr, 0);
         } else if (arg == "--adaptive") {
             adaptive = true;
         } else if (arg == "--line") {

@@ -5,8 +5,10 @@
 
 #include "shard/shard.hh"
 
+#include <climits>
 #include <cstdlib>
 
+#include "support/linecodec.hh"
 #include "support/logging.hh"
 #include "support/qcache/canon.hh"
 
@@ -16,28 +18,13 @@ std::optional<ShardSpec>
 parseShardSpec(std::string_view spec)
 {
     const std::size_t slash = spec.find('/');
-    if (slash == std::string_view::npos || slash == 0 ||
-        slash + 1 >= spec.size())
+    std::uint64_t index = 0, count = 0;
+    if (slash == std::string_view::npos ||
+        !linecodec::parseU64(spec.substr(0, slash), index) ||
+        !linecodec::parseU64(spec.substr(slash + 1), count) ||
+        count < 1 || index >= count || count > INT_MAX)
         return std::nullopt;
-    const auto digits = [](std::string_view s) {
-        if (s.empty())
-            return false;
-        for (char c : s)
-            if (c < '0' || c > '9')
-                return false;
-        return true;
-    };
-    const std::string_view idx = spec.substr(0, slash);
-    const std::string_view cnt = spec.substr(slash + 1);
-    // Reject non-digits (including signs) and absurd widths.
-    if (!digits(idx) || !digits(cnt) || idx.size() > 9 || cnt.size() > 9)
-        return std::nullopt;
-    ShardSpec out;
-    out.index = std::atoi(std::string(idx).c_str());
-    out.count = std::atoi(std::string(cnt).c_str());
-    if (out.count < 1 || out.index < 0 || out.index >= out.count)
-        return std::nullopt;
-    return out;
+    return ShardSpec{static_cast<int>(index), static_cast<int>(count)};
 }
 
 std::optional<ShardSpec>

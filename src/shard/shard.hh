@@ -153,14 +153,14 @@ std::optional<DecodedSlice> decodeSlice(std::string_view text);
 
 /**
  * Merge shard qcache checkpoint files into `out_path`: the header
- * plus every checksum-valid record, concatenated in shard order with
- * keep-first deduplication by cache key — the same keep-first rule
- * `QueryCache::store` applies, which is what makes the merged file
- * byte-identical to a 1-process checkpoint (contiguous ascending
- * slices append their records in program-index order; duplicate
- * cross-shard solves are byte-identical and dropped).  Invalid
- * records are dropped and counted (`shard.load_dropped`); inputs
- * that do not exist are skipped.
+ * plus every record `qcache::decodeRecord` accepts, copied verbatim
+ * in shard order with keep-first deduplication by cache key — the
+ * same keep-first rule `QueryCache::store` applies, which makes the
+ * merged file byte-identical to a 1-process checkpoint (contiguous
+ * ascending slices append their records in program-index order;
+ * duplicate cross-shard solves are byte-identical and dropped).
+ * Invalid records are dropped and counted (`shard.load_dropped`);
+ * inputs that do not exist are skipped.
  * @return number of records written, or nullopt when `out_path`
  * cannot be written.
  */

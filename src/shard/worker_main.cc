@@ -16,13 +16,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
 
 #include "core/pipeline.hh"
 #include "shard/shard.hh"
+#include "support/linecodec.hh"
 #include "support/qcache/qcache.hh"
 
 namespace {
@@ -75,17 +75,16 @@ main(int argc, char **argv)
             dir = v;
         } else if (arg == "--programs") {
             const char *v = next();
-            if (!v || (programs = std::atoi(v)) < 1)
+            if (!v || !linecodec::parseInt(v, programs) || programs < 1)
                 return usage(argv[0]);
         } else if (arg == "--tests") {
             const char *v = next();
-            if (!v || (tests = std::atoi(v)) < 1)
+            if (!v || !linecodec::parseInt(v, tests) || tests < 1)
                 return usage(argv[0]);
         } else if (arg == "--seed") {
             const char *v = next();
-            if (!v)
+            if (!v || !linecodec::parseU64(v, seed))
                 return usage(argv[0]);
-            seed = std::strtoull(v, nullptr, 0);
         } else if (arg == "--adaptive") {
             adaptive = true;
         } else if (arg == "--line") {

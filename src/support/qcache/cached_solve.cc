@@ -1,6 +1,7 @@
 #include "support/qcache/cached_solve.hh"
 
 #include "support/faults.hh"
+#include "support/linecodec.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 
@@ -149,7 +150,8 @@ CachedEnumerator::CachedEnumerator(expr::ExprContext &ctx_,
     chainSalt = mixKey(kChainSalt,
                        static_cast<std::uint64_t>(blockBits));
     for (Expr v : blockVars)
-        chainSalt = mixKey(chainSalt, fnv1a(form.toCanon.at(v->name)));
+        chainSalt = mixKey(chainSalt,
+                           linecodec::fnv1a(form.toCanon.at(v->name)));
 }
 
 Key

@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,9 +68,6 @@ std::uint64_t splitmix64(std::uint64_t x);
 
 /** Order-sensitive combination of two words (splitmix64-based). */
 std::uint64_t mixKey(std::uint64_t a, std::uint64_t b);
-
-/** FNV-1a over a string (stable across platforms and runs). */
-std::uint64_t fnv1a(std::string_view s);
 
 /** Canonical form of one formula: key, fingerprint, name maps. */
 struct CanonForm {

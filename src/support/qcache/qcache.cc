@@ -1,7 +1,6 @@
 #include "support/qcache/qcache.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <utility>
@@ -9,21 +8,27 @@
 
 #include "support/env.hh"
 #include "support/faults.hh"
+#include "support/linecodec.hh"
 #include "support/logging.hh"
 
 namespace scamv::qcache {
 
-namespace {
+using linecodec::g17;
+using linecodec::hex;
+using linecodec::parseDouble;
+using linecodec::parseHex;
+using linecodec::parseU64;
+using linecodec::split;
 
-constexpr const char *kFileHeader = "scamv-qcache-v1";
+namespace {
 
 /**
  * Record grammar (one line per entry, space-separated fields):
  *
  *   <hi> <lo> <fp> <S|U> <D|-> <payload> <checksum>
  *
- * hex words, then outcome, pair-death flag, the payload and an FNV-1a
- * checksum over everything before it.  The payload is
+ * hex words, then outcome, pair-death flag, the payload and the
+ * linecodec checksum over everything before it.  The payload is
  * `<model>#<delta>` with comma-separated typed tokens:
  *
  *   v!name:hex        bitvector variable value
@@ -37,86 +42,6 @@ constexpr const char *kFileHeader = "scamv-qcache-v1";
  * the delimiters never collide; an entry whose names do collide is
  * simply not persisted (kept in memory only).
  */
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof buf, "%llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
-g17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-bool
-parseHex(std::string_view s, std::uint64_t &out)
-{
-    if (s.empty() || s.size() > 16)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        int d;
-        if (c >= '0' && c <= '9')
-            d = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            d = c - 'a' + 10;
-        else
-            return false;
-        v = (v << 4) | static_cast<std::uint64_t>(d);
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseDec(std::string_view s, std::uint64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseDouble(std::string_view s, double &out)
-{
-    if (s.empty() || s.size() >= 63)
-        return false;
-    char buf[64];
-    std::copy(s.begin(), s.end(), buf);
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtod(buf, &end);
-    return end == buf + s.size();
-}
-
-std::vector<std::string_view>
-split(std::string_view s, char sep)
-{
-    std::vector<std::string_view> out;
-    while (true) {
-        const std::size_t pos = s.find(sep);
-        if (pos == std::string_view::npos) {
-            out.push_back(s);
-            return out;
-        }
-        out.push_back(s.substr(0, pos));
-        s.remove_prefix(pos + 1);
-    }
-}
 
 /** @return true iff `name` is safe for the record grammar above. */
 bool
@@ -152,7 +77,7 @@ encodePayload(const Entry &e)
     for (const auto &name : sortedKeys(e.model.bvVars)) {
         if (!nameOk(name))
             return "";
-        push("v!" + name + ":" + hex64(e.model.bvVars.at(name)));
+        push("v!" + name + ":" + hex(e.model.bvVars.at(name)));
     }
     for (const auto &name : sortedKeys(e.model.boolVars)) {
         if (!nameOk(name))
@@ -165,8 +90,8 @@ encodePayload(const Entry &e)
             return "";
         const auto &cells = e.model.mems.at(name).entries();
         for (const auto &addr : sortedKeys(cells))
-            push("M!" + name + "@" + hex64(addr) + ":" +
-                 hex64(cells.at(addr)));
+            push("M!" + name + "@" + hex(addr) + ":" +
+                 hex(cells.at(addr)));
     }
     out += '#';
     for (const auto &[name, v] : e.delta.counters) {
@@ -253,7 +178,7 @@ decodeDeltaToken(std::string_view token, metrics::Snapshot &delta)
     std::string_view value = body.substr(colon + 1);
     if (tag == 'c') {
         std::uint64_t v;
-        if (!parseDec(value, v))
+        if (!parseU64(value, v))
             return false;
         delta.counters[name] = v;
         return true;
@@ -280,12 +205,12 @@ decodeDeltaToken(std::string_view token, metrics::Snapshot &delta)
         }
         for (std::string_view c : split(parts[1], '|')) {
             std::uint64_t v;
-            if (!parseDec(c, v))
+            if (!parseU64(c, v))
                 return false;
             h.counts.push_back(v);
         }
         if (!parseDouble(parts[2], h.sum) ||
-            !parseDec(parts[3], h.count))
+            !parseU64(parts[3], h.count))
             return false;
         // Malformed shapes would panic inside Registry::merge later;
         // reject them here so a corrupt record costs one drop, not
@@ -301,36 +226,54 @@ decodeDeltaToken(std::string_view token, metrics::Snapshot &delta)
     return false;
 }
 
+std::size_t
+entryBytes(const Entry &e)
+{
+    std::size_t b = 128; // slot + bookkeeping overhead
+    for (const auto &[name, v] : e.model.bvVars)
+        b += name.size() + 24;
+    for (const auto &[name, v] : e.model.boolVars)
+        b += name.size() + 17;
+    for (const auto &[name, mem] : e.model.mems)
+        b += name.size() + 48 + 24 * mem.entries().size();
+    for (const auto &[name, v] : e.delta.counters)
+        b += name.size() + 24;
+    for (const auto &[name, v] : e.delta.gauges)
+        b += name.size() + 24;
+    for (const auto &[name, h] : e.delta.histograms)
+        b += name.size() + 48 +
+             8 * (h.bounds.size() + h.counts.size());
+    return b;
+}
+
+} // namespace
+
 std::string
 encodeRecord(const Key &key, const Entry &e)
 {
     const std::string payload = encodePayload(e);
     if (payload.empty())
         return ""; // unsafe names: keep the entry in memory only
-    std::string line = hex64(key.hi) + " " + hex64(key.lo) + " " +
-                       hex64(e.fingerprint) + " " +
+    std::string line = hex(key.hi) + " " + hex(key.lo) + " " +
+                       hex(e.fingerprint) + " " +
                        (e.sat ? "S" : "U") + " " +
                        (e.pairDead ? "D" : "-") + " " + payload;
-    line += " " + hex64(fnv1a(line));
-    return line;
+    return linecodec::seal(std::move(line));
 }
 
 std::optional<std::pair<Key, Entry>>
-decodeRecord(const std::string &line)
+decodeRecord(std::string_view line)
 {
-    const auto fields = split(line, ' ');
-    if (fields.size() != 7)
+    const std::optional<std::string_view> prefix =
+        linecodec::unseal(line);
+    if (!prefix)
+        return std::nullopt;
+    const auto fields = split(*prefix);
+    if (fields.size() != 6)
         return std::nullopt;
     for (const auto &f : fields)
         if (f.empty())
             return std::nullopt;
-    // Checksum covers everything before the final space.
-    const std::size_t prefix_len =
-        line.size() - fields.back().size() - 1;
-    std::uint64_t checksum;
-    if (!parseHex(fields[6], checksum) ||
-        checksum != fnv1a(std::string_view(line).substr(0, prefix_len)))
-        return std::nullopt;
 
     Key key;
     Entry e;
@@ -366,28 +309,6 @@ decodeRecord(const std::string &line)
         return std::nullopt; // Unsat records carry no model
     return std::make_pair(key, std::move(e));
 }
-
-std::size_t
-entryBytes(const Entry &e)
-{
-    std::size_t b = 128; // slot + bookkeeping overhead
-    for (const auto &[name, v] : e.model.bvVars)
-        b += name.size() + 24;
-    for (const auto &[name, v] : e.model.boolVars)
-        b += name.size() + 17;
-    for (const auto &[name, mem] : e.model.mems)
-        b += name.size() + 48 + 24 * mem.entries().size();
-    for (const auto &[name, v] : e.delta.counters)
-        b += name.size() + 24;
-    for (const auto &[name, v] : e.delta.gauges)
-        b += name.size() + 24;
-    for (const auto &[name, h] : e.delta.histograms)
-        b += name.size() + 48 +
-             8 * (h.bounds.size() + h.counts.size());
-    return b;
-}
-
-} // namespace
 
 QueryCache::QueryCache(CacheConfig config) : cfg(std::move(config))
 {

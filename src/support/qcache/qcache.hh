@@ -38,7 +38,9 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "expr/eval.hh"
 #include "support/metrics.hh"
@@ -62,6 +64,20 @@ struct Entry {
      *  uncached runs tally identically. */
     metrics::Snapshot delta;
 };
+
+/** First line of a checkpoint file; records follow, one per line. */
+inline constexpr const char *kFileHeader = "scamv-qcache-v1";
+
+/**
+ * One checkpoint record: a support/linecodec sealed line.
+ * @return "" when a name in the entry cannot be written safely (the
+ * entry then stays in memory only).
+ */
+std::string encodeRecord(const Key &key, const Entry &entry);
+
+/** @return the record's key and entry, or nullopt when the line is
+ *  damaged in any way (checksum, field count, any field). */
+std::optional<std::pair<Key, Entry>> decodeRecord(std::string_view line);
 
 /** Cache configuration (see configFromEnv). */
 struct CacheConfig {

@@ -2,144 +2,29 @@
  * @file
  * "scamv-rpc-v1" frame codec and submission-spec marshalling.
  *
- * A frame payload is one line in the shard-artifact discipline
- * (shard/artifact.cc): space-separated fields, percent-escaped so
- * fields with spaces or control bytes survive, ending in an fnv1a
- * checksum over the line's prefix.  On the wire each payload is
- * preceded by an 8-hex-digit byte length plus '\n', so a reader can
- * frame the stream without scanning for terminators and a truncated
- * connection is detected as NeedMore, never a short parse.  Damage
- * handling mirrors the qcache/shard codecs: a bad checksum or
- * malformed field drops the whole frame.
+ * A frame payload is one support/linecodec sealed line whose fields
+ * are percent-escaped, so fields with spaces or control bytes
+ * survive.  On the wire each payload is preceded by an 8-hex-digit
+ * byte length plus '\n', so a reader can frame the stream without
+ * scanning for terminators and a truncated connection is detected as
+ * NeedMore, never a short parse.  Damage handling mirrors the
+ * qcache/shard codecs: a bad checksum or malformed field drops the
+ * whole frame.
  */
 
 #include "svc/svc.hh"
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "shard/shard.hh"
-#include "support/qcache/canon.hh"
+#include "support/linecodec.hh"
 
 namespace scamv::svc {
-namespace {
 
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return buf;
-}
-
-/** Percent-escape a field: no spaces, no newlines, never empty. */
-std::string
-esc(std::string_view s)
-{
-    if (s.empty())
-        return "-";
-    if (s == "-")
-        return "%2D";
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        const unsigned char u = static_cast<unsigned char>(c);
-        if (c == '%' || c == ' ' || u < 0x20) {
-            char buf[4];
-            std::snprintf(buf, sizeof buf, "%%%02X", u);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-int
-hexNibble(char c)
-{
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F')
-        return c - 'A' + 10;
-    return -1;
-}
-
-std::optional<std::string>
-unesc(std::string_view s)
-{
-    if (s == "-")
-        return std::string();
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '%') {
-            out += s[i];
-            continue;
-        }
-        if (i + 2 >= s.size())
-            return std::nullopt;
-        const int hi = hexNibble(s[i + 1]);
-        const int lo = hexNibble(s[i + 2]);
-        if (hi < 0 || lo < 0)
-            return std::nullopt;
-        out += static_cast<char>(hi * 16 + lo);
-        i += 2;
-    }
-    return out;
-}
-
-bool
-parseU64(std::string_view s, std::uint64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    char buf[24];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtoull(buf, &end, 10);
-    return end == buf + s.size();
-}
-
-bool
-parseI64(std::string_view s, std::int64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    char buf[24];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtoll(buf, &end, 10);
-    return end == buf + s.size();
-}
-
-bool
-parseDouble(std::string_view s, double &out)
-{
-    if (s.empty() || s.size() > 40)
-        return false;
-    char buf[48];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtod(buf, &end);
-    return end == buf + s.size();
-}
-
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-} // namespace
+using linecodec::esc;
+using linecodec::parseDouble;
+using linecodec::parseI64;
+using linecodec::parseU64;
 
 std::string
 encodePayload(const Frame &frame)
@@ -149,56 +34,26 @@ encodePayload(const Frame &frame)
         line += ' ';
         line += esc(arg);
     }
-    line += ' ';
-    line += hex16(qcache::fnv1a(
-        std::string_view(line.data(), line.size() - 1)));
-    return line;
+    return linecodec::seal(std::move(line));
 }
 
 std::optional<Frame>
 decodePayload(std::string_view payload)
 {
-    // Validate and strip the trailing checksum field.
-    const std::size_t space = payload.rfind(' ');
-    if (space == std::string_view::npos ||
-        payload.size() - space - 1 != 16)
+    const std::optional<std::string_view> prefix =
+        linecodec::unseal(payload);
+    if (!prefix)
         return std::nullopt;
-    std::uint64_t sum = 0;
-    for (char c : payload.substr(space + 1)) {
-        const int nib = hexNibble(c);
-        if (nib < 0)
-            return std::nullopt;
-        sum = sum * 16 + static_cast<std::uint64_t>(nib);
-    }
-    const std::string_view prefix = payload.substr(0, space);
-    if (sum != qcache::fnv1a(prefix))
-        return std::nullopt;
-
     Frame frame;
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos <= prefix.size()) {
-        const std::size_t next = prefix.find(' ', pos);
-        const std::string_view field =
-            next == std::string_view::npos
-                ? prefix.substr(pos)
-                : prefix.substr(pos, next - pos);
-        const std::optional<std::string> plain = unesc(field);
+    for (std::string_view field : linecodec::split(*prefix)) {
+        std::optional<std::string> plain = linecodec::unesc(field);
         if (!plain)
             return std::nullopt;
-        if (first) {
-            if (plain->empty())
-                return std::nullopt;
-            frame.type = *plain;
-            first = false;
-        } else {
-            frame.args.push_back(*plain);
-        }
-        if (next == std::string_view::npos)
-            break;
-        pos = next + 1;
+        frame.args.push_back(std::move(*plain));
     }
-    if (first)
+    frame.type = std::move(frame.args.front());
+    frame.args.erase(frame.args.begin());
+    if (frame.type.empty())
         return std::nullopt;
     return frame;
 }
@@ -218,13 +73,8 @@ decodeFrame(std::string_view buf, Frame &out, std::size_t &consumed)
     if (buf.size() < 9)
         return FrameStatus::NeedMore;
     std::uint64_t len = 0;
-    for (int i = 0; i < 8; ++i) {
-        const int nib = hexNibble(buf[static_cast<std::size_t>(i)]);
-        if (nib < 0)
-            return FrameStatus::Bad;
-        len = len * 16 + static_cast<std::uint64_t>(nib);
-    }
-    if (buf[8] != '\n' || len > kMaxFrameBytes)
+    if (!linecodec::parseHex(buf.substr(0, 8), len) || buf[8] != '\n' ||
+        len > kMaxFrameBytes)
         return FrameStatus::Bad;
     if (buf.size() < 9 + len)
         return FrameStatus::NeedMore;
@@ -249,7 +99,7 @@ specToArgs(const SubmissionSpec &spec)
     args.push_back("priority=" + std::to_string(spec.priority));
     args.push_back("shards=" + std::to_string(spec.shards));
     args.push_back(std::string("fault_rate=") +
-                   fmtDouble(spec.faultRate));
+                   linecodec::g17(spec.faultRate));
     args.push_back("fault_plan=" + (spec.faultSites.empty()
                                         ? std::string("-")
                                         : spec.faultSites));

@@ -19,10 +19,10 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "support/linecodec.hh"
 #include "support/logging.hh"
 #include "svc/svc.hh"
 
@@ -67,13 +67,16 @@ main(int argc, char **argv)
             cfg.dir = val;
             ++i;
         } else if (arg == "--workers" && val) {
-            cfg.workers = std::atoi(val);
+            if (!linecodec::parseInt(val, cfg.workers))
+                return usage(argv[0]);
             ++i;
         } else if (arg == "--shards" && val) {
-            cfg.shards = std::atoi(val);
+            if (!linecodec::parseInt(val, cfg.shards))
+                return usage(argv[0]);
             ++i;
         } else if (arg == "--queue-max" && val) {
-            cfg.queueMax = std::atoi(val);
+            if (!linecodec::parseInt(val, cfg.queueMax))
+                return usage(argv[0]);
             ++i;
         } else {
             return usage(argv[0]);

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <string>
 
+#include "support/linecodec.hh"
 #include "svc/svc.hh"
 
 namespace {
@@ -98,6 +99,65 @@ runWatch(scamv::svc::Client &client, const std::string &id)
     }
 }
 
+/**
+ * Parse the submit command's flags from argv[i..]; numbers must be
+ * whole decimal fields.  @return false on any malformed flag.
+ */
+bool
+parseSubmitFlags(int i, int argc, char **argv,
+                 scamv::svc::SubmissionSpec &spec, bool &watch)
+{
+    using namespace scamv::linecodec;
+    for (; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const char *val = i + 1 < argc ? argv[i + 1] : nullptr;
+        bool ok = true;
+        if (arg == "--programs" && val) {
+            ok = parseInt(val, spec.programs);
+            ++i;
+        } else if (arg == "--tests" && val) {
+            ok = parseInt(val, spec.tests);
+            ++i;
+        } else if (arg == "--seed" && val) {
+            ok = parseU64(val, spec.seed);
+            ++i;
+        } else if (arg == "--adaptive") {
+            spec.adaptive = true;
+        } else if (arg == "--line") {
+            spec.line = true;
+        } else if (arg == "--priority" && val) {
+            ok = parseInt(val, spec.priority);
+            ++i;
+        } else if (arg == "--shards" && val) {
+            ok = parseInt(val, spec.shards);
+            ++i;
+        } else if (arg == "--fault-rate" && val) {
+            ok = parseDouble(val, spec.faultRate);
+            ++i;
+        } else if (arg == "--fault-plan" && val) {
+            spec.faultSites = val;
+            ++i;
+        } else if (arg == "--retry-max" && val) {
+            ok = parseInt(val, spec.retryMax);
+            ++i;
+        } else if (arg == "--triage") {
+            spec.triage = true;
+        } else if (arg == "--minimize") {
+            spec.minimize = true;
+        } else if (arg == "--corpus" && val) {
+            spec.corpusDir = val;
+            ++i;
+        } else if (arg == "--watch") {
+            watch = true;
+        } else {
+            ok = false;
+        }
+        if (!ok)
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -117,6 +177,13 @@ main(int argc, char **argv)
     if (i >= argc || socket_path.empty())
         return usage(argv[0]);
     const std::string command = argv[i++];
+    // Submit flags are checked before connecting, so a malformed
+    // command line is a usage error even with no service running.
+    SubmissionSpec spec;
+    bool watch = false;
+    if (command == "submit" &&
+        !parseSubmitFlags(i, argc, argv, spec, watch))
+        return usage(argv[0]);
 
     Client client;
     if (!client.connectTo(socket_path)) {
@@ -167,53 +234,6 @@ main(int argc, char **argv)
 
     if (command != "submit")
         return usage(argv[0]);
-
-    SubmissionSpec spec;
-    bool watch = false;
-    for (; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *val = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--programs" && val) {
-            spec.programs = std::atoi(val);
-            ++i;
-        } else if (arg == "--tests" && val) {
-            spec.tests = std::atoi(val);
-            ++i;
-        } else if (arg == "--seed" && val) {
-            spec.seed = std::strtoull(val, nullptr, 10);
-            ++i;
-        } else if (arg == "--adaptive") {
-            spec.adaptive = true;
-        } else if (arg == "--line") {
-            spec.line = true;
-        } else if (arg == "--priority" && val) {
-            spec.priority = std::atoi(val);
-            ++i;
-        } else if (arg == "--shards" && val) {
-            spec.shards = std::atoi(val);
-            ++i;
-        } else if (arg == "--fault-rate" && val) {
-            spec.faultRate = std::atof(val);
-            ++i;
-        } else if (arg == "--fault-plan" && val) {
-            spec.faultSites = val;
-            ++i;
-        } else if (arg == "--retry-max" && val) {
-            spec.retryMax = std::atoi(val);
-            ++i;
-        } else if (arg == "--triage") {
-            spec.triage = true;
-        } else if (arg == "--minimize") {
-            spec.minimize = true;
-        } else if (arg == "--corpus" && val) {
-            spec.corpusDir = val;
-            ++i;
-        } else if (arg == "--watch") {
-            watch = true;
-        } else {
-            return usage(argv[0]);
-        }
-    }
 
     const std::optional<Frame> res =
         client.call(Frame{"SUBMIT", specToArgs(spec)});

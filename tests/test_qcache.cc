@@ -325,6 +325,39 @@ TEST(Persist, CorruptRecordsAreDroppedAndCounted)
     std::remove(path.c_str());
 }
 
+TEST(Persist, ParentFormatCheckpointLoads)
+{
+    // A record for `x <u 6` exactly as scamv-qcache-v1 writers before
+    // support/linecodec wrote it: the checksum field is unpadded %llx
+    // (15 digits here), not the 16 digits records carry today.
+    const std::string record =
+        "c9a66795b1089492 f2246c2d225f91e2 f9a36eee0659cbde S - "
+        "v!v0:0#c!smt.queries:1 221bc781c7a258e";
+    ASSERT_EQ(record.size() - record.rfind(' ') - 1, 15u);
+    const std::string path = tmpPath("parent_format");
+    {
+        std::ofstream out(path);
+        out << kFileHeader << "\n" << record << "\n";
+    }
+    const std::uint64_t d0 = globalCounter("qcache.load_dropped");
+    QueryCache cache({1 << 20, path});
+    EXPECT_EQ(globalCounter("qcache.load_dropped"), d0);
+    EXPECT_EQ(cache.loadDropped(), 0u);
+    ASSERT_EQ(cache.size(), 1u);
+
+    expr::ExprContext ctx;
+    const Expr f = ctx.ult(ctx.bvVar("x"), ctx.bv(6));
+    const std::uint64_t h0 = globalCounter("qcache.hit");
+    const std::uint64_t m0 = globalCounter("qcache.miss");
+    const SolveResult r = solveOnce(ctx, f, 200000, &cache);
+    ASSERT_EQ(r.outcome, smt::Outcome::Sat);
+    ASSERT_TRUE(r.model);
+    EXPECT_EQ(r.model->bvVars.at("x"), 0u);
+    EXPECT_EQ(globalCounter("qcache.hit"), h0 + 1);
+    EXPECT_EQ(globalCounter("qcache.miss"), m0);
+    std::remove(path.c_str());
+}
+
 TEST(Persist, ForeignHeaderDisablesPersistence)
 {
     const std::string path = tmpPath("foreign");
