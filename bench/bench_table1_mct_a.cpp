@@ -17,7 +17,6 @@
 
 #include "core/pipeline.hh"
 #include "core/report.hh"
-#include "parallel_report.hh"
 
 using namespace scamv;
 using core::PipelineConfig;
@@ -53,13 +52,9 @@ main()
         {"Mct", "Template A", "No", "Mpc"},
         {"Mct", "Template A", "Mspec", "Mpc"},
     };
-    benchsupport::ParallelReport parallel;
     std::vector<core::RunStats> stats;
-    stats.push_back(parallel.compare("table1_mct_a/unrefined",
-                                     mctConfig(false, scale)));
-    stats.push_back(parallel.compare("table1_mct_a/Mspec",
-                                     mctConfig(true, scale)));
-    parallel.write();
+    stats.push_back(core::Pipeline(mctConfig(false, scale)).run());
+    stats.push_back(core::Pipeline(mctConfig(true, scale)).run());
 
     std::printf("%s\n",
                 core::renderCampaignTable(metas, stats).render().c_str());

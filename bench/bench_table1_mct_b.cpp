@@ -15,7 +15,6 @@
 
 #include "core/pipeline.hh"
 #include "core/report.hh"
-#include "parallel_report.hh"
 
 using namespace scamv;
 using core::PipelineConfig;
@@ -51,13 +50,9 @@ main()
         {"Mct", "Template B", "No", "Mpc"},
         {"Mct", "Template B", "Mspec", "Mpc"},
     };
-    benchsupport::ParallelReport parallel;
     std::vector<core::RunStats> stats;
-    stats.push_back(parallel.compare("table1_mct_b/unrefined",
-                                     mctBConfig(false, scale)));
-    stats.push_back(parallel.compare("table1_mct_b/Mspec",
-                                     mctBConfig(true, scale)));
-    parallel.write();
+    stats.push_back(core::Pipeline(mctBConfig(false, scale)).run());
+    stats.push_back(core::Pipeline(mctBConfig(true, scale)).run());
 
     std::printf("%s\n",
                 core::renderCampaignTable(metas, stats).render().c_str());

@@ -17,7 +17,6 @@
 
 #include "core/pipeline.hh"
 #include "core/report.hh"
-#include "parallel_report.hh"
 
 using namespace scamv;
 using core::PipelineConfig;
@@ -59,17 +58,11 @@ main()
         {"Mpart PA", "Stride", "No", "Mpc"},
         {"Mpart PA", "Stride", "Mpart'", "Mpc & Mline"},
     };
-    benchsupport::ParallelReport parallel;
     std::vector<core::RunStats> stats;
-    stats.push_back(parallel.compare("table1_mpart/unrefined",
-                                     mpartConfig(false, 61, scale)));
-    stats.push_back(parallel.compare("table1_mpart/refined",
-                                     mpartConfig(true, 61, scale)));
-    stats.push_back(parallel.compare("table1_mpart/pa_unrefined",
-                                     mpartConfig(false, 64, scale)));
-    stats.push_back(parallel.compare("table1_mpart/pa_refined",
-                                     mpartConfig(true, 64, scale)));
-    parallel.write();
+    stats.push_back(core::Pipeline(mpartConfig(false, 61, scale)).run());
+    stats.push_back(core::Pipeline(mpartConfig(true, 61, scale)).run());
+    stats.push_back(core::Pipeline(mpartConfig(false, 64, scale)).run());
+    stats.push_back(core::Pipeline(mpartConfig(true, 64, scale)).run());
 
     std::printf("%s\n",
                 core::renderCampaignTable(metas, stats).render().c_str());

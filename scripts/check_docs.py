@@ -20,6 +20,10 @@ fails when the docs and the code drift apart:
    README corpus table (a ``\`<name>.sc\``` mention), and the README
    must not list kernels that no longer exist — a corpus change
    cannot land without its one-line side-channel story.
+ - every ``bench_<name>`` the operator docs mention must be a
+   ``scamv_bench(<name>)`` target in ``bench/CMakeLists.txt``, and no
+   doc may name a ``BENCH_*.json`` report — nothing writes one since
+   the feature gates became ctest counter assertions.
 
 Only quoted literals count as usage — prose mentions in comments do
 not — so the check tracks real ``getenv``/``envLong``/``envDouble``
@@ -138,6 +142,34 @@ def check_corpus(readme, errors):
             f"such kernel")
 
 
+BENCH_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+              "ARCHITECTURE.md", "OPERATIONS.md",
+              ".claude/skills/verify/SKILL.md")
+BENCH_RE = re.compile(r"(?<![\w.])(bench_[a-z0-9_]+)")
+BENCH_JSON_RE = re.compile(r"BENCH_[A-Za-z0-9_*]*\.json")
+
+
+def check_benches(errors):
+    targets = set(re.findall(
+        r"scamv_bench\((\w+)\)",
+        (ROOT / "bench" / "CMakeLists.txt").read_text(encoding="utf-8")))
+    for doc in BENCH_DOCS:
+        path = ROOT / doc
+        if not path.exists():
+            continue
+        for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1):
+            for name in BENCH_RE.findall(line):
+                if name not in targets:
+                    errors.append(
+                        f"{doc}:{lineno} mentions {name}, which is not "
+                        f"a scamv_bench target in bench/CMakeLists.txt")
+            for report in BENCH_JSON_RE.findall(line):
+                errors.append(
+                    f"{doc}:{lineno} names {report}, which no bench "
+                    f"writes any more")
+
+
 def main():
     readme = ROOT / "README.md"
     src_used = used_vars("src")
@@ -156,6 +188,7 @@ def main():
     check_fault_sites(readme, errors)
     check_operations(src_used, errors)
     check_corpus(readme, errors)
+    check_benches(errors)
 
     if errors:
         for e in errors:

@@ -249,9 +249,10 @@ MergeResult mergeCampaign(core::PipelineConfig cfg, int shard_count,
 
 /**
  * The small deterministic campaign the scamv_worker / scamv_merge
- * binaries and bench_shard share: Stride template, Mpart validated
- * against refined MpartRefined, attacker-visible set window 61..127,
- * deterministic metrics clock, single worker thread per process.
+ * binaries and the ShardTest suite share: Stride template, Mpart
+ * validated against refined MpartRefined, attacker-visible set window
+ * 61..127, deterministic metrics clock, single worker thread per
+ * process.
  * `line` selects Mline coverage (PcAndLine) instead of the default
  * path-pair coverage whose Canonical/Pc enumeration exercises the
  * query cache.

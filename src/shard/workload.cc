@@ -1,7 +1,7 @@
 /**
  * @file
  * The deterministic campaign workload shared by the scamv_worker and
- * scamv_merge binaries and bench_shard.
+ * scamv_merge binaries and the ShardTest suite.
  */
 
 #include "shard/shard.hh"

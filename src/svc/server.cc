@@ -25,6 +25,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "support/linecodec.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 
@@ -199,10 +200,10 @@ handleConnection(int fd, Service &service, std::atomic<bool> &stop)
         } else if (req->type == "STATUS" &&
                    req->args.size() == 1) {
             std::uint64_t id = 0;
-            try {
-                id = std::stoull(req->args[0]);
-            } catch (...) {
-                id = 0;
+            if (!linecodec::parseU64(req->args[0], id)) {
+                if (!sendFrame(fd, errFrame("bad submission id")))
+                    break;
+                continue;
             }
             const std::optional<SubmissionStatus> st =
                 service.status(id);
@@ -216,10 +217,10 @@ handleConnection(int fd, Service &service, std::atomic<bool> &stop)
                 break;
         } else if (req->type == "WATCH" && req->args.size() == 1) {
             std::uint64_t id = 0;
-            try {
-                id = std::stoull(req->args[0]);
-            } catch (...) {
-                id = 0;
+            if (!linecodec::parseU64(req->args[0], id)) {
+                if (!sendFrame(fd, errFrame("bad submission id")))
+                    break;
+                continue;
             }
             if (!streamWatch(fd, service, id, stop))
                 break;

@@ -113,7 +113,7 @@ FrameStatus decodeFrame(std::string_view buf, Frame &out,
 /**
  * One campaign submission: the `shard::defaultWorkload` family
  * (the same campaign shape the scamv_worker / scamv_merge CLI and
- * bench_shard run) plus failure-model and triage knobs.
+ * the ShardTest suite run) plus failure-model and triage knobs.
  */
 struct SubmissionSpec {
     int programs = 8;

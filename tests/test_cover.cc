@@ -541,6 +541,38 @@ TEST(CoverPipeline, AdaptiveTargetsFreshClasses)
     EXPECT_GE(a.coveredClasses * 4, a.experiments * 3);
 }
 
+TEST(CoverPipeline, AdaptiveBeatsUniformClassesPerProgram)
+{
+    // The scheduler's coverage economics on a budget large enough for
+    // the uniform baseline's diminishing returns to show: adaptive
+    // must buy at least 1.5x the classes per program that ran.
+    clearScheduleEnv();
+    core::PipelineConfig cfg = strideConfig();
+    cfg.programs = 32;
+    cfg.testsPerProgram = 8;
+    cfg.seed = 99;
+
+    CoverageLedger uniform_ledger;
+    core::PipelineConfig uniform_cfg = cfg;
+    uniform_cfg.coverageLedger = &uniform_ledger;
+    const core::RunStats uniform = core::Pipeline(uniform_cfg).run();
+
+    CoverageLedger adaptive_ledger;
+    core::ExperimentDb db;
+    core::RunStats adaptive;
+    runAdaptive(cfg, 1, adaptive_ledger, db, &adaptive);
+
+    ASSERT_GT(uniform.programs, 0);
+    ASSERT_GT(adaptive.programs, 0);
+    ASSERT_GT(uniform.coveredClasses, 0);
+    // adaptive/programs >= 1.5 * uniform/programs, in integers.
+    EXPECT_GE(2 * adaptive.coveredClasses * uniform.programs,
+              3 * uniform.coveredClasses * adaptive.programs)
+        << "uniform " << uniform.coveredClasses << " classes / "
+        << uniform.programs << " programs, adaptive "
+        << adaptive.coveredClasses << " / " << adaptive.programs;
+}
+
 TEST(CoverPipeline, EnvScheduleAndCoverageFile)
 {
     const std::string path = tmpPath("env_export");

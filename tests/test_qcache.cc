@@ -9,16 +9,21 @@
 #include <string>
 #include <vector>
 
+#include "bir/transform.hh"
 #include "core/expdb.hh"
 #include "core/pipeline.hh"
 #include "expr/eval.hh"
 #include "expr/expr.hh"
+#include "gen/templates.hh"
+#include "obs/models.hh"
+#include "rel/relation.hh"
 #include "smt/sampler.hh"
 #include "smt/solver.hh"
 #include "support/faults.hh"
 #include "support/metrics.hh"
 #include "support/qcache/cached_solve.hh"
 #include "support/qcache/qcache.hh"
+#include "sym/symexec.hh"
 
 namespace scamv::qcache {
 namespace {
@@ -250,6 +255,58 @@ TEST(Cache, EvictionRespectsByteBoundAndLru)
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_LE(cache.totalBytes(), cache.maxBytes());
     EXPECT_EQ(globalCounter("qcache.evict"), e0 + 1);
+}
+
+/** Relation formulas of `programs` Template-A programs (seeds 7..),
+ *  one per path pair, Mct refined by Mspec. */
+std::vector<Expr>
+relationFormulas(expr::ExprContext &ctx, int programs)
+{
+    std::vector<Expr> formulas;
+    for (int i = 0; i < programs; ++i) {
+        gen::ProgramGenerator g(gen::TemplateKind::A,
+                                static_cast<std::uint64_t>(7 + i));
+        const bir::Program p = bir::instrumentSpeculation(g.next());
+        obs::RefinementPair annot(obs::makeModel(obs::ModelKind::Mct),
+                                  obs::makeModel(obs::ModelKind::Mspec));
+        rel::RelationConfig cfg;
+        cfg.refine = true;
+        rel::RelationSynthesizer rel(ctx,
+                                     sym::execute(ctx, p, annot, {"_1"}),
+                                     sym::execute(ctx, p, annot, {"_2"}),
+                                     cfg);
+        for (const auto &pair : rel.pairs())
+            formulas.push_back(rel.formulaFor(pair));
+    }
+    return formulas;
+}
+
+TEST(Cache, RepeatedRelationQueriesSolveOnlyOnFirstPass)
+{
+    // The pipeline's dominant pattern: the same relation formulas
+    // queried again and again.  Only the first pass may reach the
+    // solver; every later pass is answered from the cache.
+    constexpr int kPasses = 5;
+    expr::ExprContext ctx;
+    const std::vector<Expr> formulas = relationFormulas(ctx, 6);
+    ASSERT_EQ(formulas.size(), 6u);
+    QueryCache cache({std::size_t{64} << 20, ""});
+
+    const std::uint64_t m0 = globalCounter("qcache.miss");
+    for (Expr f : formulas)
+        solveOnce(ctx, f, 200000, &cache);
+    const std::uint64_t first_misses = globalCounter("qcache.miss") - m0;
+    EXPECT_GT(first_misses, 0u);
+    EXPECT_LE(first_misses, formulas.size());
+
+    const std::uint64_t m1 = globalCounter("qcache.miss");
+    const std::uint64_t h1 = globalCounter("qcache.hit");
+    for (int pass = 1; pass < kPasses; ++pass)
+        for (Expr f : formulas)
+            solveOnce(ctx, f, 200000, &cache);
+    EXPECT_EQ(globalCounter("qcache.miss"), m1);
+    EXPECT_EQ(globalCounter("qcache.hit") - h1,
+              (kPasses - 1) * formulas.size());
 }
 
 // ---------------------------------------------------------------------

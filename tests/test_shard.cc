@@ -9,6 +9,7 @@
  * recovery.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -431,19 +432,61 @@ TEST_F(ShardTest, InjectedCorruptionDropsGroups)
 // ---------------------------------------------------------------
 // The determinism contract: merged == single-process, byte for byte.
 
+namespace {
+
+/**
+ * The work counters of the shard-local metrics (each worker's
+ * metrics.json) partition the single-process campaign's exactly, and
+ * no shard carries so much of it that N workers could not beat one
+ * process by 1.5x given N cores.
+ */
+void
+expectWorkSplitsAcrossShards(
+    const std::vector<shard::WorkerResult> &workers,
+    const core::RunStats &single)
+{
+    const auto counter = [](const core::RunStats &stats,
+                            const char *name) -> std::uint64_t {
+        const auto it = stats.metrics.counters.find(name);
+        return it == stats.metrics.counters.end() ? 0 : it->second;
+    };
+    for (const char *name :
+         {"smt.queries", "hw.runs", "sat.propagations"}) {
+        std::uint64_t sum = 0;
+        for (const shard::WorkerResult &w : workers)
+            sum += counter(w.stats, name);
+        EXPECT_GT(sum, 0u) << name;
+        EXPECT_EQ(sum, counter(single, name)) << name;
+    }
+    std::uint64_t total = 0, largest = 0;
+    for (const shard::WorkerResult &w : workers) {
+        const std::uint64_t props = counter(w.stats, "sat.propagations");
+        total += props;
+        largest = std::max(largest, props);
+    }
+    EXPECT_GE(2 * total, 3 * largest)
+        << "largest shard: " << largest << " of " << total
+        << " propagations";
+}
+
+} // namespace
+
 TEST_F(ShardTest, MergedCampaignMatchesSingleProcessCold)
 {
     const core::PipelineConfig cfg = testCfg(10);
     const std::string ref = freshDir("ref_cold");
-    runReference(cfg, ref);
+    const core::RunStats single = runReference(cfg, ref);
     for (const int n : {1, 2, 4}) {
         const std::string root =
             freshDir("cold_" + std::to_string(n));
-        runWorkers(cfg, n, root);
+        const std::vector<shard::WorkerResult> workers =
+            runWorkers(cfg, n, root);
         const shard::MergeResult res = runMerge(cfg, n, root);
         EXPECT_TRUE(res.missingPrograms.empty());
         EXPECT_EQ(res.droppedGroups, 0u);
         expectArtifactsEqual(root, ref, /*with_qcache=*/false);
+        if (n == 4)
+            expectWorkSplitsAcrossShards(workers, single);
     }
 }
 

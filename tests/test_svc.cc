@@ -345,13 +345,22 @@ TEST_F(SvcTest, SharedCacheSequentialWarmMatrix)
     cfg.shards = 2;
     {
         svc::Service service(cfg);
+        const std::uint64_t m0 = globalCounter("qcache.miss");
         const auto r1 = service.submit(smallSpec());
         ASSERT_TRUE(r1.accepted);
         EXPECT_TRUE(service.wait(r1.id));
+        const std::uint64_t m1 = globalCounter("qcache.miss");
         const auto r2 = service.submit(smallSpec());
         ASSERT_TRUE(r2.accepted);
         EXPECT_TRUE(service.wait(r2.id));
+        const std::uint64_t m2 = globalCounter("qcache.miss");
         service.drain();
+        // The shared checkpoint must pay for itself: the second
+        // submission re-solves at most 70% of what the first did.
+        EXPECT_GT(m1 - m0, 0u);
+        EXPECT_LE(10 * (m2 - m1), 7 * (m1 - m0))
+            << "first submission missed " << m1 - m0
+            << " times, second " << m2 - m1;
         // The shared checkpoint exists after the ordered folds.
         EXPECT_TRUE(fs::exists(service.checkpointPath()));
     }
@@ -555,6 +564,19 @@ TEST_F(SvcTest, SocketSubmitWatchDrain)
     ASSERT_TRUE(submitted.has_value());
     ASSERT_EQ(submitted->type, "OK");
     const std::string id = submitted->args.at(0);
+
+    // Ids parse whole and unsigned: no trailing bytes, no blanks, no
+    // sign, no overflow.
+    for (const std::string &bad : std::vector<std::string>{
+             id + "x", " " + id, "-1", "", "18446744073709551616"}) {
+        for (const char *req : {"STATUS", "WATCH"}) {
+            const auto reply = client.call(svc::Frame{req, {bad}});
+            ASSERT_TRUE(reply.has_value()) << req << " '" << bad << "'";
+            EXPECT_EQ(reply->type, "ERR") << req << " '" << bad << "'";
+            EXPECT_EQ(reply->args,
+                      std::vector<std::string>{"bad submission id"});
+        }
+    }
 
     // WATCH streams PROGRESS frames and finishes with DONE.
     ASSERT_TRUE(client.send(svc::Frame{"WATCH", {id}}));

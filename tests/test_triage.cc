@@ -524,6 +524,14 @@ strideCfg()
     return cfg;
 }
 
+/** A campaign counter, 0 when the campaign never touched it. */
+std::uint64_t
+counterOf(const RunStats &stats, const char *name)
+{
+    const auto it = stats.metrics.counters.find(name);
+    return it == stats.metrics.counters.end() ? 0 : it->second;
+}
+
 TEST(ScreenCampaign, StrideFullWindowScreensEveryProgram)
 {
     // Attacker window = every set: ar-contained proves each Stride
@@ -536,6 +544,7 @@ TEST(ScreenCampaign, StrideFullWindowScreensEveryProgram)
     EXPECT_EQ(on.screened, cfg.programs);
     EXPECT_EQ(on.experiments, 0);
     EXPECT_EQ(on.metrics.histograms.count("phase.smt_seconds"), 0u);
+    EXPECT_EQ(counterOf(on, "smt.queries"), 0u);
 
     // The unscreened run pays symexec + SMT for the same nothing.
     cfg.triageScreen = 0;
@@ -544,6 +553,7 @@ TEST(ScreenCampaign, StrideFullWindowScreensEveryProgram)
     EXPECT_EQ(off.experiments, 0);
     EXPECT_EQ(off.counterexamples, on.counterexamples);
     EXPECT_GT(off.metrics.histograms.count("phase.smt_seconds"), 0u);
+    EXPECT_GT(counterOf(off, "smt.queries"), 0u);
 }
 
 /** Campaign findings rendered as the canonical JSON export. */
