@@ -36,14 +36,8 @@ using expr::ExprContext;
 bool
 needsSpecInstrumentation(const PipelineConfig &cfg)
 {
-    auto speculative = [](obs::ModelKind k) {
-        return k == obs::ModelKind::Mspec ||
-               k == obs::ModelKind::Mspec1 ||
-               k == obs::ModelKind::MspecPage;
-    };
-    if (speculative(cfg.model))
-        return true;
-    return cfg.refinement && speculative(*cfg.refinement);
+    return obs::isSpeculative(cfg.model) ||
+           (cfg.refinement && obs::isSpeculative(*cfg.refinement));
 }
 
 double
@@ -142,15 +136,14 @@ symmetrizeModel(Expr formula, const bir::Program &program,
 
 namespace {
 
-/**
- * Per-program solving state: one (possibly cache-backed) incremental
- * enumerator per path pair.  `dead` marks exhausted pairs — either
- * model blocking ran dry or the relation went Unsat/Unknown.
- */
-struct PairEnumerators {
-    std::vector<std::unique_ptr<qcache::CachedEnumerator>> enums;
-    std::vector<bool> dead;
-};
+/** The registry clock a campaign's metrics use. */
+metrics::ClockMode
+clockMode(const PipelineConfig &cfg)
+{
+    return cfg.deterministicMetricsTiming
+               ? metrics::ClockMode::Deterministic
+               : metrics::ClockMode::Wall;
+}
 
 /**
  * Record one bounded backoff step before a stage retry.  The delay
@@ -174,14 +167,557 @@ retryBackoff(metrics::Registry &reg, const char *stage, int attempt)
 }
 
 /**
+ * Delta-gated retry of the smt, hw_run and db_write stages: run
+ * `attempt(n)` for n = 0, 1, ... until it returns true.  Only an
+ * attempt polluted by an injected fault is re-run (after a backoff
+ * step, at most cfg.retryMax times); a genuine failure keeps its
+ * fault-free behaviour and is never retried.  @return true when the
+ * last attempt failed while polluted by an injected fault.
+ */
+template <class Attempt>
+bool
+retryOnFaults(const PipelineConfig &cfg, metrics::Registry &reg,
+              const char *stage, Attempt &&attempt)
+{
+    for (int n = 0;; ++n) {
+        const std::uint64_t before = faults::injectedCount();
+        const bool done = attempt(n);
+        const bool polluted = faults::injectedCount() != before;
+        if (done || !polluted || n >= cfg.retryMax)
+            return !done && polluted;
+        retryBackoff(reg, stage, n);
+    }
+}
+
+// ---- Program task stages (Fig. 1) -------------------------------
+// runOneProgram chains prepare → screen → relate, then per test
+// drawModel → measure → judge.  The stages keep the phase timers, rng
+// draws and registry clock reads of the task in their original order.
+
+/** What every stage of one program task reads. */
+struct TaskEnv {
+    const PipelineConfig &cfg;
+    const ProgramTask &task;
+    metrics::Registry &reg; ///< the task's (also metrics::current())
+    const Stopwatch &watch;
+    double t0;              ///< reg.now() at task start
+    std::uint64_t seed;     ///< deriveProgramSeed(cfg.seed, prog_i)
+    const front::CompiledProgram *corpus; ///< kernel to run, or null
+    cover::ProgramDelta *delta; ///< null when not collecting coverage
+};
+
+/** Freeze the task's registry into the outcome (every exit path). */
+void
+finishTask(const TaskEnv &env, ProgramOutcome &out)
+{
+    if (out.hasCex)
+        env.reg.counter("pipeline.programs_with_cex").inc();
+    // One now() call feeds both the gauge and the per-program
+    // latency histogram (p50/p99 in exports), keeping the
+    // deterministic-clock tick count unchanged.
+    const double task_elapsed = env.reg.now() - env.t0;
+    env.reg.gauge("pipeline.task_seconds").add(task_elapsed);
+    env.reg.histogram("pipeline.program_seconds").observe(task_elapsed);
+    out.metrics = env.reg.snapshot();
+    out.taskSeconds = env.watch.seconds();
+}
+
+struct Prepared {
+    bir::Program program;
+    bir::Program modelProgram; ///< as the models see it (instrumented)
+    std::unique_ptr<sym::Annotator> annotator;
+};
+
+/**
+ * Observation augmentation (Sections 4.2.2, 5.1): draw the program,
+ * add the shadow statements speculative models need, and build the
+ * (refinement) annotator.
+ */
+Prepared
+prepare(const TaskEnv &env)
+{
+    const PipelineConfig &cfg = env.cfg;
+    metrics::PhaseTimer phase(env.reg, "generate");
+    Prepared p;
+    if (env.corpus) {
+        p.program = env.corpus->program;
+        p.program.setName(env.corpus->name + "#" +
+                          std::to_string(env.task.prog_i));
+    } else {
+        gen::GeneratorConfig gen_cfg;
+        gen_cfg.lineBytes = cfg.modelParams.geom.lineBytes;
+        gen::ProgramGenerator generator(env.task.templ, env.seed,
+                                        gen_cfg);
+        generator.setCounter(env.task.prog_i);
+        p.program = generator.next();
+    }
+    p.modelProgram = p.program;
+    if (needsSpecInstrumentation(cfg)) {
+        if (cfg.rewriteJumps)
+            p.modelProgram =
+                bir::rewriteJumpsToCondBranches(p.modelProgram);
+        p.modelProgram = bir::instrumentSpeculation(p.modelProgram);
+    }
+    if (cfg.refinement) {
+        p.annotator = std::make_unique<obs::RefinementPair>(
+            obs::makeModel(cfg.model, cfg.modelParams),
+            obs::makeModel(*cfg.refinement, cfg.modelParams));
+    } else {
+        p.annotator = obs::makeModel(cfg.model, cfg.modelParams);
+    }
+    return p;
+}
+
+struct Screened {
+    bool boring = false;         ///< proven boring; task finished
+    std::vector<bool> classMask; ///< reachable classes (empty: all)
+};
+
+/**
+ * Triage pre-screen (src/triage/screen.hh): a pure function of the
+ * instrumented program, run before any rng, solver or platform use,
+ * so surviving programs replay byte-identically with the screen on or
+ * off.  A boring program's task is finished inside the phase (its
+ * snapshot carries no triage_screen sample); otherwise the class mask
+ * lets adaptive draws skip classes the program cannot touch.
+ */
+Screened
+screen(const TaskEnv &env, const bir::Program &model_prog,
+       ProgramOutcome &out)
+{
+    const PipelineConfig &cfg = env.cfg;
+    Screened s;
+    if (cfg.triageScreen <= 0 || !cfg.refinement)
+        return s;
+    metrics::PhaseTimer phase(env.reg, "triage_screen");
+    triage::ScreenResult r = triage::screenProgram(
+        model_prog, cfg.model, *cfg.refinement, cfg.modelParams);
+    s.boring = r.verdict == triage::ScreenVerdict::Boring;
+    if (s.boring) {
+        env.reg.counter("triage.screened").inc();
+        env.reg.counter("triage.screened." + r.reason).inc();
+        finishTask(env, out);
+    } else {
+        s.classMask = std::move(r.classMask);
+    }
+    return s;
+}
+
+struct Related {
+    rel::RelationConfig relCfg;
+    std::optional<rel::RelationSynthesizer> relation;
+    std::vector<sym::PathResult> trainingPaths; ///< "_t" (cfg.train)
+};
+
+/**
+ * Symbolic execution for the states s1 and s2, relation synthesis
+ * over their path pairs (Section 5.4), and the training state's paths
+ * (Section 5.3).
+ */
+Related
+relate(const TaskEnv &env, ExprContext &ctx, const Prepared &p)
+{
+    const PipelineConfig &cfg = env.cfg;
+    std::vector<sym::PathResult> paths1, paths2;
+    {
+        metrics::PhaseTimer phase(env.reg, "symbolic_exec");
+        paths1 = sym::execute(ctx, p.modelProgram, *p.annotator, {"_1"});
+        paths2 = sym::execute(ctx, p.modelProgram, *p.annotator, {"_2"});
+    }
+    Related r;
+    r.relCfg.refine = cfg.refinement.has_value();
+    r.relCfg.region = cfg.region;
+    r.relCfg.geom = cfg.modelParams.geom;
+    if (env.corpus) {
+        // The kernel's declared security contract: public inputs are
+        // pinned equal across s1/s2, secrets stay free to differ.
+        r.relCfg.lowRegs = env.corpus->publicRegs;
+        r.relCfg.lowMemAddrs = env.corpus->publicMemAddrs;
+    }
+    {
+        metrics::PhaseTimer phase(env.reg, "relation_synthesis");
+        r.relation.emplace(ctx, std::move(paths1), std::move(paths2),
+                           r.relCfg);
+    }
+    if (cfg.train) {
+        metrics::PhaseTimer phase(env.reg, "symbolic_exec");
+        auto mpc = obs::makeModel(obs::ModelKind::Mpc);
+        r.trainingPaths = sym::execute(ctx, p.modelProgram, *mpc, {"_t"});
+    }
+    return r;
+}
+
+/** Solving state of one path pair. */
+struct PairState {
+    std::unique_ptr<qcache::CachedEnumerator> enumerator;
+    Expr formula = nullptr; ///< synthesized on first use
+    bool dead = false; ///< blocking ran dry or the relation is Unsat
+};
+
+/** Per-program state of the drawModel and measure stages. */
+struct Solving {
+    Solving(const TaskEnv &env, ExprContext &c, const Prepared &prep,
+            const Related &r, std::vector<bool> class_mask)
+        : ctx(c), program(prep.program), related(r),
+          pairs(r.relation->pairs()), perPair(pairs.size()),
+          blockVars(blockingVars(c, prep.program)),
+          classMask(std::move(class_mask)), rng(env.seed ^ 0xc0ffeeULL)
+    {}
+
+    ExprContext &ctx;
+    const bir::Program &program;
+    const Related &related;
+    const std::vector<rel::PathPair> &pairs;
+    std::vector<PairState> perPair;
+    std::vector<Expr> blockVars; ///< register variables of both states
+    std::vector<bool> classMask;
+    /** Training inputs, keyed by s1-path index. */
+    std::unordered_map<int, std::optional<harness::ProgramInput>>
+        training;
+    Rng rng;
+    std::size_t rr = 0; ///< round-robin cursor over path pairs
+    int planDraw = 0;   ///< monotone cursor into the class plan
+
+    /** @return the next live pair, or nullopt once all are dead. */
+    std::optional<std::size_t>
+    nextLivePair()
+    {
+        for (std::size_t probe = 0; probe < pairs.size(); ++probe, ++rr)
+            if (!perPair[rr % pairs.size()].dead)
+                return rr++ % pairs.size();
+        return std::nullopt;
+    }
+};
+
+/**
+ * One Mline coverage draw: least-covered-first from the round plan
+ * when the adaptive scheduler supplied one, the classic random draw
+ * otherwise.
+ */
+std::optional<rel::LineCoverageDraw>
+drawLineCoverage(const TaskEnv &env, Solving &s, const rel::PathPair &pair)
+{
+    const ProgramTask &task = env.task;
+    const rel::RelationSynthesizer &relation = *s.related.relation;
+    std::optional<rel::LineCoverageDraw> cov;
+    if (task.plan && !task.plan->classOrder.empty()) {
+        int cls;
+        if (s.classMask.empty()) {
+            cls = cover::planClass(*task.plan, task.slot, s.planDraw++,
+                                   task.stride);
+        } else {
+            // Screened class gating: classes outside the program's
+            // abstract reach don't consume draws.
+            std::int64_t skipped = 0;
+            cls = cover::planClassAllowed(*task.plan, task.slot,
+                                          s.planDraw, task.stride,
+                                          s.classMask, &skipped);
+            if (skipped)
+                env.reg.counter("triage.skipped_draws").add(skipped);
+        }
+        cov = relation.lineCoverageConstraintFor(pair, cls, cls);
+    } else {
+        cov = relation.lineCoverageConstraint(pair, s.rng);
+    }
+    if (cov && env.delta) {
+        env.delta->countDraw(cov->class1);
+        if (cov->class2 != cov->class1)
+            env.delta->countDraw(cov->class2);
+    }
+    return cov;
+}
+
+struct Draw {
+    std::optional<expr::Assignment> model;
+    int lineCls1 = -1, lineCls2 = -1; ///< last coverage draw (-1: none)
+};
+
+/**
+ * One solve attempt for pair `idx` under `budget`.  The Sampler runs
+ * the repair sampler with one complete solve as fallback; the other
+ * strategies take one enumeration step on Pc coverage, or up to
+ * cfg.coverageRetries assumption steps under fresh Mline draws.
+ * @return true when the pair's relation proved exhausted.
+ */
+bool
+solveAttempt(const TaskEnv &env, Solving &s, std::size_t idx,
+             std::int64_t budget, Draw &d)
+{
+    const PipelineConfig &cfg = env.cfg;
+    const bool line = cfg.coverage == Coverage::PcAndLine;
+    PairState &ps = s.perPair[idx];
+    if (cfg.strategy == SolveStrategy::Sampler) {
+        Expr f = ps.formula;
+        if (auto cov = line ? drawLineCoverage(env, s, s.pairs[idx])
+                            : std::nullopt) {
+            f = s.ctx.land(f, cov->constraint);
+            d.lineCls1 = cov->class1;
+            d.lineCls2 = cov->class2;
+        }
+        smt::SamplerConfig sampler_cfg;
+        sampler_cfg.regionBase = cfg.region.base;
+        sampler_cfg.regionLimit = cfg.region.limit();
+        d.model = smt::RepairSampler(s.ctx, f, s.rng, sampler_cfg).sample();
+        if (!d.model) {
+            auto solved = qcache::solveOnce(s.ctx, f, budget, cfg.queryCache);
+            if (solved.outcome != smt::Outcome::Sat)
+                return true;
+            d.model = std::move(solved.model);
+        }
+        return false;
+    }
+
+    // Only Canonical/Pc enumeration goes through the query cache.
+    if (!ps.enumerator)
+        ps.enumerator = std::make_unique<qcache::CachedEnumerator>(
+            s.ctx, ps.formula, s.blockVars, cfg.blockingBits,
+            cfg.strategy == SolveStrategy::Canonical && !line
+                ? cfg.queryCache
+                : nullptr);
+    qcache::CachedEnumerator &en = *ps.enumerator;
+    if (cfg.strategy == SolveStrategy::RandomPhases)
+        en.solver().randomizePhases(s.rng);
+    qcache::CachedEnumerator::Step step;
+    if (line) {
+        // Randomly drawn set-index classes often contradict the
+        // relation (e.g. distinct classes pinned inside the attacker
+        // region); redraw a few times before charging a generation
+        // failure.
+        step.outcome = smt::Outcome::Unsat;
+        for (int redraw = 0; redraw < cfg.coverageRetries &&
+                             step.outcome != smt::Outcome::Sat;
+             ++redraw) {
+            auto cov = drawLineCoverage(env, s, s.pairs[idx]);
+            if (!cov) {
+                step = en.next(budget);
+                break;
+            }
+            d.lineCls1 = cov->class1;
+            d.lineCls2 = cov->class2;
+            step = en.nextWith(cov->constraint, budget);
+        }
+    } else {
+        step = en.next(budget);
+    }
+    if (step.outcome == smt::Outcome::Sat) {
+        d.model = std::move(step.model);
+        ps.dead = en.dead();
+        return false;
+    }
+    // Without per-test coverage constraints an Unsat relation stays
+    // Unsat: retire the pair.
+    return !line || step.outcome == smt::Outcome::Unknown;
+}
+
+/**
+ * Solve pair `idx`'s relation for one test case.  An attempt polluted
+ * by an injected fault is retried with a doubled conflict budget;
+ * canonical models are then symmetrized.
+ */
+Draw
+drawModel(const TaskEnv &env, Solving &s, std::size_t idx)
+{
+    const PipelineConfig &cfg = env.cfg;
+    PairState &ps = s.perPair[idx];
+    // Synthesized (and cached) outside the smt phase scope so nested
+    // relation_synthesis time is not charged twice.
+    if (!ps.formula) {
+        metrics::PhaseTimer phase(env.reg, "relation_synthesis");
+        ps.formula = s.related.relation->formulaFor(s.pairs[idx]);
+    }
+    Draw d;
+    const double smt_t0 = env.delta ? env.reg.now() : 0.0;
+    {
+        metrics::PhaseTimer phase(env.reg, "smt");
+        bool retire = false;
+        const bool fault_failed =
+            retryOnFaults(cfg, env.reg, "smt", [&](int attempt) {
+                retire = solveAttempt(
+                    env, s, idx, cfg.conflictBudget << std::min(attempt, 8),
+                    d);
+                return d.model.has_value();
+            });
+        // A failure polluted by injected faults is not attributable
+        // to the pair, which stays live.
+        if (!d.model && retire && !fault_failed)
+            ps.dead = true;
+        if (d.model && cfg.strategy == SolveStrategy::Canonical)
+            symmetrizeModel(ps.formula, s.program, *d.model, s.rng,
+                            cfg.similarityBias);
+    }
+    // Per-atom cost: the whole solve (including redraws) is charged
+    // to the test's final s1 class.
+    if (env.delta)
+        env.delta->chargeSolver(d.lineCls1, env.reg.now() - smt_t0);
+    return d;
+}
+
+struct Measured {
+    harness::TestCase tc;
+    std::optional<harness::ProgramInput> training;
+    harness::ExperimentResult result;
+};
+
+/**
+ * Run the test case on the platform, after the branch-predictor
+ * training input of the pair's s1 path (Section 5.3, solved once per
+ * path), then account the experiment and log it to the database.
+ */
+Measured
+measure(const TaskEnv &env, Solving &s, harness::Platform &platform,
+        const Draw &d, std::size_t idx, ProgramOutcome &out)
+{
+    const PipelineConfig &cfg = env.cfg;
+    const rel::PathPair &pair = s.pairs[idx];
+    const rel::RelationSynthesizer &relation = *s.related.relation;
+    Measured m;
+    m.tc.s1 = harness::inputFromAssignment(*d.model, "_1");
+    m.tc.s2 = harness::inputFromAssignment(*d.model, "_2");
+    if (cfg.train) {
+        auto [it, fresh] = s.training.try_emplace(pair.idx1);
+        if (fresh) {
+            auto formula = rel::RelationSynthesizer::trainingFormula(
+                s.ctx, s.related.trainingPaths,
+                relation.paths1()[pair.idx1], s.related.relCfg);
+            if (formula) {
+                auto solved = qcache::solveOnce(
+                    s.ctx, *formula, cfg.conflictBudget, cfg.queryCache);
+                if (solved.outcome == smt::Outcome::Sat)
+                    it->second =
+                        harness::inputFromAssignment(*solved.model, "_t");
+            }
+        }
+        m.training = it->second;
+    }
+    {
+        metrics::PhaseTimer phase(env.reg, "hw_run");
+        // A run has no failure of its own: only one polluted by
+        // injected measurement faults is re-measured, in the hope of
+        // a clean repetition set.
+        retryOnFaults(cfg, env.reg, "hw_run", [&](int) {
+            m.result = platform.runExperiment(s.program, m.tc, m.training);
+            return false;
+        });
+    }
+    env.reg.counter("pipeline.experiments").inc();
+    if (env.delta) {
+        ++env.delta->verdicts.experiments;
+        env.delta->countHit(d.lineCls1);
+        if (d.lineCls2 != d.lineCls1)
+            env.delta->countHit(d.lineCls2);
+        ++env.delta->pathPairs[relation.paths1()[pair.idx1].pathId() +
+                               "|" +
+                               relation.paths2()[pair.idx2].pathId()];
+    }
+    // Accepted on flaky measurements: the platform has already
+    // degraded the verdict to at most Inconclusive (unless every
+    // clean repetition differed).
+    if (m.result.flakedReps > 0)
+        env.reg.counter("pipeline.degraded").inc();
+    if (cfg.database) {
+        ExperimentRecord record;
+        record.programName = s.program.name();
+        record.programText = s.program.toString();
+        record.pathId = relation.paths1()[pair.idx1].pathId();
+        record.testCase = m.tc;
+        record.trained = m.training.has_value();
+        record.lineClass1 = d.lineCls1;
+        record.lineClass2 = d.lineCls2;
+        record.verdict = m.result.verdict;
+        record.differingReps = m.result.differingReps;
+        record.totalReps = m.result.totalReps;
+        out.records.push_back(std::move(record));
+    }
+    return m;
+}
+
+/**
+ * Tally the verdict.  When findings are collected, a counterexample
+ * also becomes a triage finding: shrunk to a minimal leaking core
+ * when the minimizer is on, then classified.
+ */
+void
+judge(const TaskEnv &env, const bir::Program &program, const Measured &m,
+      ProgramOutcome &out)
+{
+    const PipelineConfig &cfg = env.cfg;
+    switch (m.result.verdict) {
+      case harness::Verdict::Counterexample:
+        env.reg.counter("pipeline.counterexamples").inc();
+        out.hasCex = true;
+        if (out.firstCexOffsetSeconds < 0)
+            out.firstCexOffsetSeconds = env.watch.seconds();
+        if (env.delta)
+            ++env.delta->verdicts.counterexamples;
+        break;
+      case harness::Verdict::Inconclusive:
+        env.reg.counter("pipeline.inconclusive").inc();
+        if (env.delta)
+            ++env.delta->verdicts.inconclusive;
+        return;
+      case harness::Verdict::Indistinguishable:
+        if (env.delta)
+            ++env.delta->verdicts.indistinguishable;
+        return;
+    }
+    if (cfg.triageMinimize <= 0 && !cfg.findingsFile)
+        return;
+
+    triage::Finding f;
+    f.progIndex = env.task.prog_i;
+    f.program = program.name();
+    f.instrsBefore = f.instrsAfter = static_cast<int>(program.size());
+    f.stateBitsBefore = f.stateBitsAfter = triage::stateBitCount(m.tc);
+    bir::Program core_prog = program;
+    harness::TestCase core_tc = m.tc;
+    if (cfg.triageMinimize > 0) {
+        // One fault decision per finding, taken *before* shrinking
+        // (the minimizer itself runs under ScopedSuppress): a flaked
+        // minimizer keeps the unminimized witness — degraded, never
+        // lost.
+        if (faults::maybeInject(faults::Site::TriageMinimizeFlake)) {
+            f.degraded = true;
+            env.reg.counter("triage.degraded").inc();
+        } else {
+            metrics::PhaseTimer phase(env.reg, "triage_minimize");
+            triage::MinimizeConfig mcfg;
+            mcfg.platform = cfg.platform;
+            mcfg.seed = env.seed;
+            mcfg.training = m.training;
+            auto min = triage::minimizeCounterexample(program, m.tc, mcfg);
+            if (min.evalsUsed <= 1) {
+                // The evaluation platform could not reproduce the
+                // leak (noise): keep the original witness.
+                f.degraded = true;
+                env.reg.counter("triage.degraded").inc();
+            } else {
+                core_prog = std::move(min.program);
+                core_tc = std::move(min.tc);
+                f.minimized = true;
+                f.instrsAfter = static_cast<int>(core_prog.size());
+                f.stateBitsAfter = triage::stateBitCount(core_tc);
+                env.reg.counter("triage.minimized").inc();
+            }
+        }
+    }
+    f.mechanism = triage::classifyMechanism(
+        core_prog, core_tc, m.training,
+        cfg.refinement && obs::isSpeculative(*cfg.refinement),
+        cfg.platform, env.seed);
+    f.signature = f.mechanism + "/" + triage::shapeSignature(core_prog);
+    f.core = core_prog.toString();
+    f.tc = std::move(core_tc);
+    out.findings.push_back(std::move(f));
+}
+
+/**
  * Run the whole experiment campaign of one program.  Pure function
  * of (cfg, task): every stochastic component is seeded from
  * deriveProgramSeed(cfg.seed, task.prog_i), and nothing outside the
  * returned ProgramOutcome is written.
  */
 ProgramOutcome
-runOneProgram(const PipelineConfig &cfg, bool instrument,
-              const ProgramTask &task)
+runOneProgram(const PipelineConfig &cfg, const ProgramTask &task)
 {
     const int prog_i = task.prog_i;
     ProgramOutcome out;
@@ -192,13 +728,10 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
     // through metrics::current(), and Pipeline::run() merges the
     // snapshots in program-index order, keeping the campaign metrics
     // independent of task scheduling.
-    metrics::Registry reg(cfg.deterministicMetricsTiming
-                              ? metrics::ClockMode::Deterministic
-                              : metrics::ClockMode::Wall);
+    metrics::Registry reg(clockMode(cfg));
     metrics::ScopedRegistry scoped_registry(reg);
     const double task_t0 = reg.now();
     reg.counter("pipeline.programs").inc();
-    out.name = "program-" + std::to_string(prog_i);
 
     // Fault plan: install this task's injector (thread-local, like
     // the registry above).  Decisions are pure functions of
@@ -210,15 +743,10 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
     if (cfg.faultPlan.enabled())
         scoped_injector.emplace(injector);
     // Injected task death: thrown before any work, caught by the
-    // campaign guard (runOneProgramGuarded), which re-counts it.
+    // campaign guard (runProgramTask), which re-counts it.
     if (faults::maybeInject(faults::Site::TaskAbort))
         throw faults::InjectedTaskFault(prog_i);
-    const int retry_max = cfg.retryMax < 0 ? 2 : cfg.retryMax;
 
-    // Coverage accounting is opt-in per task: the Uniform schedule
-    // without a ledger never touches the delta (or the extra clock
-    // reads below), keeping untracked campaigns byte-identical to the
-    // pre-cover pipeline.
     // Corpus workloads replace the generator draw with a pre-compiled
     // SC kernel (see PipelineConfig::corpus).
     const front::CompiledProgram *corpus_entry = nullptr;
@@ -227,582 +755,64 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
         corpus_entry = &(*cfg.corpus)[static_cast<std::size_t>(
             task.corpusIndex)];
 
-    cover::ProgramDelta &delta = out.coverDelta;
+    // Coverage accounting is opt-in per task: the Uniform schedule
+    // without a ledger never touches the delta (or the extra clock
+    // reads it takes), keeping untracked campaigns byte-identical to
+    // the pre-cover pipeline.
+    cover::ProgramDelta *delta = nullptr;
     if (task.collectCover) {
-        delta.templ = corpus_entry ? "corpus:" + corpus_entry->name
-                                   : gen::templateName(task.templ);
-        delta.model = obs::modelName(cfg.model);
+        delta = &out.coverDelta;
+        delta->templ = corpus_entry ? "corpus:" + corpus_entry->name
+                                    : gen::templateName(task.templ);
+        delta->model = obs::modelName(cfg.model);
         if (cfg.coverage == Coverage::PcAndLine)
-            delta.universe = cfg.modelParams.geom.numSets;
+            delta->universe = cfg.modelParams.geom.numSets;
     }
 
-    // Freeze the task's registry into the outcome; called on every
-    // exit path so even pair-less programs contribute a snapshot.
-    auto finish_task = [&] {
-        if (out.hasCex)
-            reg.counter("pipeline.programs_with_cex").inc();
-        // One now() call feeds both the gauge and the per-program
-        // latency histogram (p50/p99 in exports), keeping the
-        // deterministic-clock tick count unchanged.
-        const double task_elapsed = reg.now() - task_t0;
-        reg.gauge("pipeline.task_seconds").add(task_elapsed);
-        reg.histogram("pipeline.program_seconds").observe(task_elapsed);
-        out.metrics = reg.snapshot();
-        out.taskSeconds = task_watch.seconds();
-    };
-
-    const std::uint64_t prog_seed = deriveProgramSeed(cfg.seed, prog_i);
-    gen::GeneratorConfig gen_cfg;
-    gen_cfg.lineBytes = cfg.modelParams.geom.lineBytes;
-    gen::ProgramGenerator generator(task.templ, prog_seed, gen_cfg);
-    generator.setCounter(prog_i);
-    harness::Platform platform(cfg.platform, prog_seed ^ 0x90153ULL);
-    Rng rng(prog_seed ^ 0xc0ffeeULL);
-
+    const TaskEnv env{cfg, task, reg, task_watch, task_t0,
+                      deriveProgramSeed(cfg.seed, prog_i), corpus_entry,
+                      delta};
     ExprContext ctx;
-
-    // ---- Observation augmentation (Sections 4.2.2, 5.1) --------
-    bir::Program program, model_prog;
-    std::unique_ptr<sym::Annotator> annotator;
-    {
-        metrics::PhaseTimer phase(reg, "generate");
-        if (corpus_entry) {
-            program = corpus_entry->program;
-            program.setName(corpus_entry->name + "#" +
-                            std::to_string(prog_i));
-        } else {
-            program = generator.next();
-        }
-        out.name = program.name();
-        model_prog = program;
-        if (instrument) {
-            if (cfg.rewriteJumps)
-                model_prog =
-                    bir::rewriteJumpsToCondBranches(model_prog);
-            model_prog = bir::instrumentSpeculation(model_prog);
-        }
-
-        if (cfg.refinement) {
-            annotator = std::make_unique<obs::RefinementPair>(
-                obs::makeModel(cfg.model, cfg.modelParams),
-                obs::makeModel(*cfg.refinement, cfg.modelParams));
-        } else {
-            annotator = obs::makeModel(cfg.model, cfg.modelParams);
-        }
-    }
-
-    // ---- Triage pre-screen (src/triage/screen.hh) ---------------
-    // Runs before any rng, solver or platform use, and is a pure
-    // function of the instrumented program — a screened-out program
-    // leaves the task's rng streams untouched, so the surviving
-    // programs replay byte-identically with the screen on or off.
-    // The class mask survives for non-boring programs: the adaptive
-    // coverage draw below skips classes the program provably cannot
-    // touch.
-    std::vector<bool> screen_mask;
-    if (cfg.triageScreen > 0 && cfg.refinement) {
-        metrics::PhaseTimer phase(reg, "triage_screen");
-        triage::ScreenResult screen = triage::screenProgram(
-            model_prog, cfg.model, *cfg.refinement, cfg.modelParams);
-        if (screen.verdict == triage::ScreenVerdict::Boring) {
-            reg.counter("triage.screened").inc();
-            reg.counter("triage.screened." + screen.reason).inc();
-            finish_task();
-            return out;
-        }
-        screen_mask = std::move(screen.classMask);
-    }
-
-    // ---- Symbolic execution (cached per program) ----------------
-    std::vector<sym::PathResult> paths1, paths2;
-    {
-        metrics::PhaseTimer phase(reg, "symbolic_exec");
-        paths1 = sym::execute(ctx, model_prog, *annotator, {"_1"});
-        paths2 = sym::execute(ctx, model_prog, *annotator, {"_2"});
-    }
-
-    rel::RelationConfig rel_cfg;
-    rel_cfg.refine = cfg.refinement.has_value();
-    rel_cfg.region = cfg.region;
-    rel_cfg.geom = cfg.modelParams.geom;
-    if (corpus_entry) {
-        // The kernel's declared security contract: public inputs are
-        // pinned equal across s1/s2, secrets stay free to differ.
-        rel_cfg.lowRegs = corpus_entry->publicRegs;
-        rel_cfg.lowMemAddrs = corpus_entry->publicMemAddrs;
-    }
-    std::optional<rel::RelationSynthesizer> relation;
-    {
-        metrics::PhaseTimer phase(reg, "relation_synthesis");
-        relation.emplace(ctx, std::move(paths1), std::move(paths2),
-                         rel_cfg);
-    }
-
-    // Training paths (third symbolic execution, suffix "_t").
-    std::vector<sym::PathResult> training_paths;
-    if (cfg.train) {
-        metrics::PhaseTimer phase(reg, "symbolic_exec");
-        auto mpc = obs::makeModel(obs::ModelKind::Mpc);
-        training_paths = sym::execute(ctx, model_prog, *mpc, {"_t"});
-    }
-
-    const auto &pairs = relation->pairs();
-    if (pairs.empty()) {
-        finish_task();
+    const Prepared prep = prepare(env);
+    out.name = prep.program.name();
+    Screened screened = screen(env, prep.modelProgram, out);
+    if (screened.boring)
+        return out;
+    const Related related = relate(env, ctx, prep);
+    if (related.relation->pairs().empty()) {
+        finishTask(env, out);
         return out;
     }
 
-    // Query cache: the enumerated (Canonical/Pc) path threads every
-    // solve through it; other strategies keep their incremental
-    // solver access but still cache the one-shot fallback/training
-    // queries.  With qc == nullptr every wrapper below degrades to
-    // the exact pre-cache call sequence.
-    qcache::QueryCache *qc = cfg.queryCache;
-    const bool use_enum_cache =
-        qc && cfg.strategy == SolveStrategy::Canonical &&
-        cfg.coverage == Coverage::Pc;
-
-    // Model-blocking variables: a pure function of the program's used
-    // registers (every register variable already exists in ctx after
-    // symbolic execution), hoisted out of the per-test loop.
-    const std::vector<Expr> block_vars = blockingVars(ctx, program);
-
-    PairEnumerators per_pair;
-    per_pair.enums.resize(pairs.size());
-    per_pair.dead.assign(pairs.size(), false);
-
-    // Relation formulas, synthesized once per path pair: the formula
-    // is a pure function of the pair, but it is needed by solver
-    // construction, the sampler, and symmetrizeModel on every test
-    // iteration.
-    std::vector<Expr> formulas(pairs.size(), nullptr);
-    auto formula_for = [&](std::size_t idx) {
-        if (!formulas[idx]) {
-            metrics::PhaseTimer phase(reg, "relation_synthesis");
-            formulas[idx] = relation->formulaFor(pairs[idx]);
-        }
-        return formulas[idx];
-    };
-
-    // Training inputs, cached per s1-path index.
-    std::unordered_map<int, std::optional<harness::ProgramInput>>
-        training_cache;
-    auto training_for =
-        [&](const rel::PathPair &pair)
-        -> std::optional<harness::ProgramInput> {
-        if (!cfg.train)
-            return std::nullopt;
-        auto hit = training_cache.find(pair.idx1);
-        if (hit != training_cache.end())
-            return hit->second;
-        std::optional<harness::ProgramInput> input;
-        auto formula = rel::RelationSynthesizer::trainingFormula(
-            ctx, training_paths, relation->paths1()[pair.idx1],
-            rel_cfg);
-        if (formula) {
-            auto solved = qcache::solveOnce(ctx, *formula,
-                                            cfg.conflictBudget, qc);
-            if (solved.outcome == smt::Outcome::Sat)
-                input = harness::inputFromAssignment(*solved.model,
-                                                     "_t");
-        }
-        training_cache.emplace(pair.idx1, input);
-        return input;
-    };
-
-    std::size_t rr = 0; // round-robin cursor over path pairs
+    Solving s(env, ctx, prep, related, std::move(screened.classMask));
+    harness::Platform platform(cfg.platform, env.seed ^ 0x90153ULL);
     int fault_failures = 0; // consecutive injected-fault test failures
-    int plan_draw = 0; // monotone cursor into the adaptive class plan
-
-    // One Mline coverage draw: least-covered-first from the round
-    // plan when the adaptive scheduler supplied one, the classic
-    // random draw otherwise (same rng sequence as ever).
-    auto draw_line_coverage = [&](const rel::PathPair &pair)
-        -> std::optional<rel::LineCoverageDraw> {
-        std::optional<rel::LineCoverageDraw> cov;
-        if (task.plan && !task.plan->classOrder.empty()) {
-            int cls;
-            if (screen_mask.empty()) {
-                cls = cover::planClass(*task.plan, task.slot,
-                                       plan_draw++, task.stride);
-            } else {
-                // Screened class gating: classes outside the
-                // program's abstract reach don't consume draws.
-                std::int64_t skipped = 0;
-                cls = cover::planClassAllowed(*task.plan, task.slot,
-                                              plan_draw, task.stride,
-                                              screen_mask, &skipped);
-                if (skipped)
-                    reg.counter("triage.skipped_draws").add(skipped);
-            }
-            cov = relation->lineCoverageConstraintFor(pair, cls, cls);
-        } else {
-            cov = relation->lineCoverageConstraint(pair, rng);
-        }
-        if (cov && task.collectCover) {
-            delta.countDraw(cov->class1);
-            if (cov->class2 != cov->class1)
-                delta.countDraw(cov->class2);
-        }
-        return cov;
-    };
-
     for (int test_i = 0; test_i < cfg.testsPerProgram; ++test_i) {
         const std::uint64_t test_faults0 = faults::injectedCount();
-
-        // Advance to the next live pair.
-        std::size_t probe = 0;
-        while (probe < pairs.size() &&
-               per_pair.dead[rr % pairs.size()]) {
-            ++rr;
-            ++probe;
-        }
-        if (probe == pairs.size())
+        const std::optional<std::size_t> idx = s.nextLivePair();
+        if (!idx)
             break; // all relations exhausted
-        const std::size_t pair_idx = rr % pairs.size();
-        ++rr;
-        const rel::PathPair &pair = pairs[pair_idx];
-
-        // Synthesized (and cached) outside the smt phase scope so
-        // nested relation_synthesis time is not charged twice.
-        const Expr pair_formula = formula_for(pair_idx);
-        std::optional<expr::Assignment> model;
-        int line_cls1 = -1, line_cls2 = -1;
-        const double smt_t0 = task.collectCover ? reg.now() : 0.0;
-        {
-        metrics::PhaseTimer phase(reg, "smt");
-
-        bool retire_pair = false;
-        for (int attempt = 0;; ++attempt) {
-            const std::uint64_t before = faults::injectedCount();
-            // Each retry doubles the per-query conflict budget — the
-            // time/attempt budget granted to a timed-out query.
-            const std::int64_t budget =
-                cfg.conflictBudget << std::min(attempt, 8);
-            retire_pair = false;
-
-            if (cfg.strategy == SolveStrategy::Sampler) {
-                Expr f = pair_formula;
-                if (cfg.coverage == Coverage::PcAndLine) {
-                    auto cov = draw_line_coverage(pair);
-                    if (cov) {
-                        f = ctx.land(f, cov->constraint);
-                        line_cls1 = cov->class1;
-                        line_cls2 = cov->class2;
-                    }
-                }
-                smt::SamplerConfig sampler_cfg;
-                sampler_cfg.regionBase = cfg.region.base;
-                sampler_cfg.regionLimit = cfg.region.limit();
-                smt::RepairSampler sampler(ctx, f, rng, sampler_cfg);
-                model = sampler.sample();
-                if (!model) {
-                    // Fall back to the complete solver.
-                    auto solved =
-                        qcache::solveOnce(ctx, f, budget, qc);
-                    if (solved.outcome == smt::Outcome::Sat)
-                        model = std::move(solved.model);
-                    else
-                        retire_pair = true;
-                }
-            } else {
-                auto &en = per_pair.enums[pair_idx];
-                if (!en) {
-                    // Blocking variables are fixed at construction on
-                    // the cached path (they parameterize the cache's
-                    // enumeration chain); the uncached path passes
-                    // them at blocking time, as it always did.
-                    en = std::make_unique<qcache::CachedEnumerator>(
-                        ctx, pair_formula,
-                        use_enum_cache ? block_vars
-                                       : std::vector<Expr>{},
-                        cfg.blockingBits,
-                        use_enum_cache ? qc : nullptr);
-                }
-                if (cfg.strategy == SolveStrategy::RandomPhases)
-                    en->solver().randomizePhases(rng);
-
-                smt::Outcome outcome = smt::Outcome::Unsat;
-                if (cfg.coverage == Coverage::PcAndLine) {
-                    // Randomly drawn set-index classes often
-                    // contradict the relation (e.g. distinct classes
-                    // pinned inside the attacker region); redraw a
-                    // few times before charging a generation failure.
-                    for (int redraw = 0;
-                         redraw < cfg.coverageRetries &&
-                         outcome != smt::Outcome::Sat;
-                         ++redraw) {
-                        auto cov = draw_line_coverage(pair);
-                        if (cov) {
-                            line_cls1 = cov->class1;
-                            line_cls2 = cov->class2;
-                        }
-                        outcome =
-                            cov ? en->solver().solveWith(
-                                      cov->constraint, budget)
-                                : en->solver().solve(budget);
-                        if (!cov)
-                            break;
-                    }
-                } else if (en->usesCache()) {
-                    // Cached enumeration step: solve + model + block
-                    // in one cacheable unit.
-                    auto step = en->next(budget);
-                    outcome = step.outcome;
-                    if (outcome == smt::Outcome::Sat) {
-                        model = std::move(step.model);
-                        if (en->dead())
-                            per_pair.dead[pair_idx] = true;
-                    }
-                } else {
-                    outcome = en->solver().solve(budget);
-                }
-
-                if (outcome == smt::Outcome::Sat) {
-                    if (!en->usesCache()) {
-                        model = en->solver().model();
-                        if (!en->solver().blockCurrentModel(
-                                block_vars, cfg.blockingBits))
-                            per_pair.dead[pair_idx] = true;
-                    }
-                } else if (cfg.coverage != Coverage::PcAndLine ||
-                           outcome == smt::Outcome::Unknown) {
-                    // Without per-test coverage constraints an Unsat
-                    // relation stays Unsat: retire the pair.
-                    retire_pair = true;
-                }
-            }
-
-            if (model)
-                break;
-            // Delta-gated retry: only an attempt polluted by an
-            // injected fault is re-run (with backoff and a doubled
-            // budget); genuine Unsat/exhaustion keeps its original
-            // fault-free behaviour and is never retried.
-            const bool polluted = faults::injectedCount() != before;
-            if (polluted)
-                retire_pair = false; // not attributable to the pair
-            if (!polluted || attempt >= retry_max)
-                break;
-            retryBackoff(reg, "smt", attempt);
-        }
-
-        if (!model && retire_pair)
-            per_pair.dead[pair_idx] = true;
-        if (model && cfg.strategy == SolveStrategy::Canonical)
-            symmetrizeModel(pair_formula, program, *model,
-                            rng, cfg.similarityBias);
-        } // phase "smt"
-        if (task.collectCover) {
-            // Per-atom cost: the whole solve (including redraws) is
-            // charged to the test's final s1 class.  Deterministic
-            // under the deterministic registry clock.
-            delta.chargeSolver(line_cls1, reg.now() - smt_t0);
-        }
-
-        if (!model) {
+        const Draw draw = drawModel(env, s, *idx);
+        if (!draw.model) {
             reg.counter("pipeline.generation_failures").inc();
-            if (faults::injectedCount() != test_faults0) {
-                // The test failed because of injected faults, not on
-                // its own merits.  A program that keeps losing tests
-                // this way is quarantined: its remaining tests are
-                // abandoned and it is listed in the campaign report
-                // instead of stalling the run.
-                if (++fault_failures >= cfg.quarantineAfter) {
-                    out.quarantined = true;
-                    reg.counter("pipeline.quarantined").inc();
-                    reg.counter("pipeline.degraded").inc();
-                    break;
-                }
-            } else {
+            // A program that keeps losing tests to injected faults is
+            // quarantined: its remaining tests are abandoned and it is
+            // listed in the campaign report instead of stalling.
+            if (faults::injectedCount() == test_faults0) {
                 fault_failures = 0;
+            } else if (++fault_failures >= cfg.quarantineAfter) {
+                out.quarantined = true;
+                reg.counter("pipeline.quarantined").inc();
+                reg.counter("pipeline.degraded").inc();
+                break;
             }
             continue;
         }
         fault_failures = 0;
-
-        harness::TestCase tc;
-        tc.s1 = harness::inputFromAssignment(*model, "_1");
-        tc.s2 = harness::inputFromAssignment(*model, "_2");
-        const auto training = training_for(pair);
-
-        harness::ExperimentResult result;
-        {
-            metrics::PhaseTimer phase(reg, "hw_run");
-            for (int attempt = 0;; ++attempt) {
-                const std::uint64_t before = faults::injectedCount();
-                result = platform.runExperiment(program, tc,
-                                                training);
-                // Delta-gated retry: re-measure only when this run
-                // was polluted by injected measurement faults, in
-                // the hope of a clean repetition set.
-                if (faults::injectedCount() == before ||
-                    attempt >= retry_max)
-                    break;
-                retryBackoff(reg, "hw_run", attempt);
-            }
-        }
-        reg.counter("pipeline.experiments").inc();
-        if (task.collectCover) {
-            ++delta.verdicts.experiments;
-            delta.countHit(line_cls1);
-            if (line_cls2 != line_cls1)
-                delta.countHit(line_cls2);
-            ++delta.pathPairs[relation->paths1()[pair.idx1].pathId() +
-                              "|" +
-                              relation->paths2()[pair.idx2].pathId()];
-        }
-        if (result.flakedReps > 0) {
-            // Accepted, but on flaky measurements: the verdict has
-            // already been degraded to at most Inconclusive by the
-            // platform (unless every clean repetition differed).
-            reg.counter("pipeline.degraded").inc();
-        }
-
-        if (cfg.database) {
-            ExperimentRecord record;
-            record.programName = program.name();
-            record.programText = program.toString();
-            record.pathId =
-                relation->paths1()[pair.idx1].pathId();
-            record.testCase = tc;
-            record.trained = training.has_value();
-            record.lineClass1 = line_cls1;
-            record.lineClass2 = line_cls2;
-            record.verdict = result.verdict;
-            record.differingReps = result.differingReps;
-            record.totalReps = result.totalReps;
-            out.records.push_back(std::move(record));
-        }
-
-        switch (result.verdict) {
-          case harness::Verdict::Counterexample: {
-            reg.counter("pipeline.counterexamples").inc();
-            out.hasCex = true;
-            if (out.firstCexOffsetSeconds < 0)
-                out.firstCexOffsetSeconds = task_watch.seconds();
-            if (task.collectCover)
-                ++delta.verdicts.counterexamples;
-            if (cfg.triageMinimize > 0 || cfg.findingsFile) {
-                triage::Finding f;
-                f.progIndex = prog_i;
-                f.program = program.name();
-                f.instrsBefore = static_cast<int>(program.size());
-                f.instrsAfter = f.instrsBefore;
-                f.stateBitsBefore = triage::stateBitCount(tc);
-                f.stateBitsAfter = f.stateBitsBefore;
-                bir::Program core_prog = program;
-                harness::TestCase core_tc = tc;
-                if (cfg.triageMinimize > 0) {
-                    // One fault decision per finding, taken *before*
-                    // shrinking (the minimizer itself runs under
-                    // ScopedSuppress): a flaked minimizer keeps the
-                    // unminimized witness — degraded, never lost.
-                    if (faults::maybeInject(
-                            faults::Site::TriageMinimizeFlake)) {
-                        f.degraded = true;
-                        reg.counter("triage.degraded").inc();
-                    } else {
-                        metrics::PhaseTimer mphase(reg,
-                                                   "triage_minimize");
-                        triage::MinimizeConfig mcfg;
-                        mcfg.platform = cfg.platform;
-                        mcfg.seed = prog_seed;
-                        mcfg.training = training;
-                        auto min = triage::minimizeCounterexample(
-                            program, tc, mcfg);
-                        if (min.evalsUsed <= 1) {
-                            // The evaluation platform could not
-                            // reproduce the leak (noise): keep the
-                            // original witness.
-                            f.degraded = true;
-                            reg.counter("triage.degraded").inc();
-                        } else {
-                            core_prog = std::move(min.program);
-                            core_tc = std::move(min.tc);
-                            f.minimized = true;
-                            f.instrsAfter =
-                                static_cast<int>(core_prog.size());
-                            f.stateBitsAfter =
-                                triage::stateBitCount(core_tc);
-                            reg.counter("triage.minimized").inc();
-                        }
-                    }
-                }
-                const bool spec_ref =
-                    cfg.refinement &&
-                    (*cfg.refinement == obs::ModelKind::Mspec ||
-                     *cfg.refinement == obs::ModelKind::Mspec1 ||
-                     *cfg.refinement == obs::ModelKind::MspecPage);
-                f.mechanism = triage::classifyMechanism(
-                    core_prog, core_tc, training, spec_ref,
-                    cfg.platform, prog_seed);
-                f.signature = f.mechanism + "/" +
-                              triage::shapeSignature(core_prog);
-                f.core = core_prog.toString();
-                f.tc = std::move(core_tc);
-                out.findings.push_back(std::move(f));
-            }
-            break;
-          }
-          case harness::Verdict::Inconclusive:
-            reg.counter("pipeline.inconclusive").inc();
-            if (task.collectCover)
-                ++delta.verdicts.inconclusive;
-            break;
-          case harness::Verdict::Indistinguishable:
-            if (task.collectCover)
-                ++delta.verdicts.indistinguishable;
-            break;
-        }
+        judge(env, prep.program,
+              measure(env, s, platform, draw, *idx, out), out);
     }
-
-    finish_task();
-    return out;
-}
-
-/**
- * Campaign guard around runOneProgram: a task that dies with an
- * exception (injected or genuine) must cost exactly one program, not
- * the campaign.  The failed program is counted in a fresh
- * deterministic registry — the task's own registry died with it — so
- * the merged campaign metrics still account for the program and, for
- * the injected case, for its fault.
- */
-ProgramOutcome
-runOneProgramGuarded(const PipelineConfig &cfg, bool instrument,
-                     const ProgramTask &task)
-{
-    const int prog_i = task.prog_i;
-    ProgramOutcome out;
-    bool injected = false;
-    try {
-        return runOneProgram(cfg, instrument, task);
-    } catch (const faults::InjectedTaskFault &e) {
-        injected = true;
-        warn(std::string("pipeline: ") + e.what());
-    } catch (const std::exception &e) {
-        warn("pipeline: program task " + std::to_string(prog_i) +
-             " failed: " + e.what());
-    } catch (...) {
-        warn("pipeline: program task " + std::to_string(prog_i) +
-             " failed with a non-standard exception");
-    }
-    out.failed = true;
-    out.name = "program-" + std::to_string(prog_i);
-    metrics::Registry reg(cfg.deterministicMetricsTiming
-                              ? metrics::ClockMode::Deterministic
-                              : metrics::ClockMode::Wall);
-    reg.counter("pipeline.programs").inc();
-    reg.counter("pipeline.program_failures").inc();
-    reg.counter("pipeline.degraded").inc();
-    if (injected) {
-        reg.counter("faults.injected").inc();
-        reg.counter(std::string("faults.injected.") +
-                    faults::siteName(faults::Site::TaskAbort))
-            .inc();
-    }
-    out.metrics = reg.snapshot();
+    finishTask(env, out);
     return out;
 }
 
@@ -888,38 +898,21 @@ mergeCoverDeltas(const PipelineConfig &cfg,
 }
 
 /**
- * Execute programs [first, first+budget) of the campaign under the
- * resolved schedule, writing program first+k's outcome into outs[k].
- * Uniform: one embarrassingly parallel batch, templates round-robin
- * by *global* program index, no ledger access (deltas are folded by
- * the merge tail).  Adaptive: deterministic rounds planned from
- * `ledger` (required), folding each round's deltas before planning
- * the next and counting scheduler events into `reg`.
- * @return the number of budget programs skipped by adaptive
- * early-stop (their slots stay empty).
+ * One unit of the workload universe: a generator template, or a
+ * corpus entry when a corpus is loaded (exclusive — corpus campaigns
+ * never mix in generated programs).  Both schedules treat a unit the
+ * same way: uniform round-robins program indices over the units,
+ * adaptive weighs each unit's ledger bucket.
  */
-int
-runScheduleRange(const PipelineConfig &cfg,
-                 cover::CoverageLedger *ledger, metrics::Registry &reg,
-                 ProgramOutcome *outs, int first, int budget,
-                 bool track_cover)
-{
-    if (budget <= 0)
-        return 0;
-    const Schedule sched = cfg.schedule.value_or(Schedule::Uniform);
-    const bool instrument = needsSpecInstrumentation(cfg);
-    const int n_threads = resolveThreads(cfg.threads);
+struct WorkloadUnit {
+    gen::TemplateKind templ = gen::TemplateKind::A;
+    int corpusIndex = -1;
+    std::string name;
+};
 
-    // The workload universe: corpus entries when a corpus is loaded
-    // (exclusive — corpus campaigns never mix in generated programs),
-    // generator templates otherwise.  Both schedules treat a unit the
-    // same way: uniform round-robins program indices over the units,
-    // adaptive weighs each unit's ledger bucket.
-    struct WorkloadUnit {
-        gen::TemplateKind templ = gen::TemplateKind::A;
-        int corpusIndex = -1;
-        std::string name;
-    };
+std::vector<WorkloadUnit>
+workloadUnits(const PipelineConfig &cfg)
+{
     std::vector<WorkloadUnit> units;
     if (cfg.corpus && !cfg.corpus->empty()) {
         for (int c = 0; c < static_cast<int>(cfg.corpus->size()); ++c)
@@ -934,56 +927,45 @@ runScheduleRange(const PipelineConfig &cfg,
         for (gen::TemplateKind kind : templates)
             units.push_back({kind, -1, gen::templateName(kind)});
     }
+    return units;
+}
 
-    std::optional<ThreadPool> pool;
-    if (n_threads > 1 && budget > 1)
-        pool.emplace(static_cast<unsigned>(n_threads));
-
-    auto run_batch = [&](const std::vector<ProgramTask> &tasks) {
-        if (!pool) {
-            // Reference path: plain sequential loop on this thread.
-            for (const ProgramTask &task : tasks) {
-                outs[task.prog_i - first] =
-                    runOneProgramGuarded(cfg, instrument, task);
-                if (cfg.progressHook)
-                    cfg.progressHook(task.prog_i);
-            }
-        } else {
-            for (const ProgramTask &task : tasks) {
-                pool->submit([&cfg, instrument, task, outs, first] {
-                    outs[task.prog_i - first] =
-                        runOneProgramGuarded(cfg, instrument, task);
-                    if (cfg.progressHook)
-                        cfg.progressHook(task.prog_i);
-                });
-            }
-            pool->wait();
-        }
-    };
-
-    if (sched == Schedule::Uniform) {
-        // One uniform batch over the whole budget; multi-template
-        // campaigns round-robin by program index.
-        std::vector<ProgramTask> tasks;
-        tasks.reserve(static_cast<std::size_t>(budget));
-        for (int k = 0; k < budget; ++k) {
-            ProgramTask task;
-            task.prog_i = first + k;
-            const WorkloadUnit &u =
-                units[static_cast<std::size_t>(task.prog_i) %
-                      units.size()];
-            task.templ = u.templ;
-            task.corpusIndex = u.corpusIndex;
-            task.collectCover = track_cover;
-            tasks.push_back(task);
-        }
-        run_batch(tasks);
-        return 0;
+/**
+ * Run a batch of tasks, writing program prog_i's outcome into
+ * outs[prog_i - first]: in order on this thread (the reference path)
+ * without a pool, one pool task per program with one.
+ */
+void
+runBatch(const PipelineConfig &cfg, ThreadPool *pool,
+         const std::vector<ProgramTask> &tasks, ProgramOutcome *outs,
+         int first)
+{
+    for (const ProgramTask &task : tasks) {
+        auto run = [&cfg, task, outs, first] {
+            outs[task.prog_i - first] = runProgramTask(cfg, task);
+            if (cfg.progressHook)
+                cfg.progressHook(task.prog_i);
+        };
+        if (pool)
+            pool->submit(run);
+        else
+            run();
     }
+    if (pool)
+        pool->wait();
+}
 
-    // Adaptive schedule: spend the budget in deterministic rounds
-    // (round size is a pure function of the budget), replanning from
-    // a ledger snapshot at every round boundary.
+/**
+ * The Adaptive schedule of runScheduleRange: deterministic rounds
+ * (their size a pure function of the budget), each planned from a
+ * ledger snapshot.  @return the programs skipped by early stop.
+ */
+int
+runAdaptiveRounds(const PipelineConfig &cfg, cover::CoverageLedger &ledger,
+                  metrics::Registry &reg,
+                  const std::vector<WorkloadUnit> &units, ThreadPool *pool,
+                  ProgramOutcome *outs, int first, int budget)
+{
     const int round_size = cover::roundSizeFor(budget);
     const std::uint64_t num_sets = cfg.coverage == Coverage::PcAndLine
                                        ? cfg.modelParams.geom.numSets
@@ -999,7 +981,7 @@ runScheduleRange(const PipelineConfig &cfg,
         std::vector<cover::RoundPlan> plans(units.size());
         std::vector<int> assign;
         if (!degraded) {
-            const cover::Snapshot snap = ledger->snapshot();
+            const cover::Snapshot snap = ledger.snapshot();
             bool all_saturated = num_sets > 0;
             for (std::size_t i = 0; i < units.size(); ++i) {
                 plans[i] = cover::planRound(snap, names[i], cfg.seed,
@@ -1031,23 +1013,20 @@ runScheduleRange(const PipelineConfig &cfg,
         std::vector<ProgramTask> tasks;
         tasks.reserve(static_cast<std::size_t>(batch));
         for (int s = 0; s < batch; ++s) {
+            const auto unit =
+                static_cast<std::size_t>(assign[static_cast<std::size_t>(s)]);
             ProgramTask task;
             task.prog_i = first + next + s;
-            const WorkloadUnit &u = units[static_cast<std::size_t>(
-                assign[static_cast<std::size_t>(s)])];
-            task.templ = u.templ;
-            task.corpusIndex = u.corpusIndex;
+            task.templ = units[unit].templ;
+            task.corpusIndex = units[unit].corpusIndex;
             task.collectCover = true;
-            task.plan = degraded
-                            ? nullptr
-                            : &plans[static_cast<std::size_t>(
-                                  assign[static_cast<std::size_t>(s)])];
+            task.plan = degraded ? nullptr : &plans[unit];
             task.slot = s;
             task.stride = batch;
             tasks.push_back(task);
         }
-        run_batch(tasks);
-        if (!mergeCoverDeltas(cfg, *ledger, reg, outs + next,
+        runBatch(cfg, pool, tasks, outs, first);
+        if (!mergeCoverDeltas(cfg, ledger, reg, outs + next,
                               first + next, batch) &&
             !degraded) {
             degraded = true;
@@ -1059,9 +1038,131 @@ runScheduleRange(const PipelineConfig &cfg,
 }
 
 /**
+ * Execute programs [first, first+budget) of the campaign under the
+ * resolved schedule, writing program first+k's outcome into outs[k].
+ * Uniform: one embarrassingly parallel batch, templates round-robin
+ * by *global* program index, no ledger access (deltas are folded by
+ * the merge tail).  Adaptive: deterministic rounds planned from
+ * `ledger` (required), counting scheduler events into `reg`.
+ * @return the number of budget programs skipped by adaptive
+ * early-stop (their slots stay empty).
+ */
+int
+runScheduleRange(const PipelineConfig &cfg,
+                 cover::CoverageLedger *ledger, metrics::Registry &reg,
+                 ProgramOutcome *outs, int first, int budget,
+                 bool track_cover)
+{
+    if (budget <= 0)
+        return 0;
+    const std::vector<WorkloadUnit> units = workloadUnits(cfg);
+    const int n_threads = resolveThreads(cfg.threads);
+    std::unique_ptr<ThreadPool> pool;
+    if (n_threads > 1 && budget > 1)
+        pool = std::make_unique<ThreadPool>(static_cast<unsigned>(n_threads));
+
+    if (cfg.schedule.value_or(Schedule::Uniform) == Schedule::Adaptive)
+        return runAdaptiveRounds(cfg, *ledger, reg, units, pool.get(),
+                                 outs, first, budget);
+
+    // One uniform batch over the whole budget; multi-template
+    // campaigns round-robin by program index.
+    std::vector<ProgramTask> tasks;
+    tasks.reserve(static_cast<std::size_t>(budget));
+    for (int k = 0; k < budget; ++k) {
+        ProgramTask task;
+        task.prog_i = first + k;
+        const WorkloadUnit &u =
+            units[static_cast<std::size_t>(task.prog_i) % units.size()];
+        task.templ = u.templ;
+        task.corpusIndex = u.corpusIndex;
+        task.collectCover = track_cover;
+        tasks.push_back(task);
+    }
+    runBatch(cfg, pool.get(), tasks, outs, first);
+    return 0;
+}
+
+/**
+ * Flush the slots' experiment records into cfg.database sequentially
+ * in program-index order, so the record sequence — and any injected
+ * db_write decision — is independent of the thread count.  The fault
+ * plan's DbWrite site can reject a write; rejected writes are retried
+ * with backoff and finally dropped (counted, not fatal: the campaign
+ * completes with a partial log).
+ */
+void
+flushDatabase(const PipelineConfig &cfg,
+              std::vector<ProgramOutcome> &slots,
+              metrics::Registry &campaign_reg)
+{
+    metrics::ScopedRegistry flush_scope(campaign_reg);
+    const bool db_faults = cfg.faultPlan.enabled() &&
+                           cfg.faultPlan.covers(faults::Site::DbWrite);
+    for (std::size_t prog_i = 0; prog_i < slots.size(); ++prog_i) {
+        faults::Injector db_injector(cfg.faultPlan, cfg.seed,
+                                     static_cast<int>(prog_i));
+        std::optional<faults::ScopedInjector> inj_scope;
+        if (db_faults)
+            inj_scope.emplace(db_injector);
+        for (ExperimentRecord &record : slots[prog_i].records) {
+            bool written = false;
+            retryOnFaults(cfg, campaign_reg, "db_write", [&](int) {
+                // add() consumes the record, so attempts that can
+                // fail get their own copy.
+                written = db_faults ? cfg.database->add(record)
+                                    : cfg.database->add(std::move(record));
+                return written;
+            });
+            if (!written)
+                campaign_reg.counter("pipeline.db_write_drops").inc();
+        }
+    }
+}
+
+/**
+ * Rebuild the legacy Table-1 counters of `stats` as views of its
+ * merged snapshot: one source of truth, so reports and metrics cannot
+ * disagree.
+ */
+void
+countersFromMetrics(RunStats &stats)
+{
+    const metrics::Snapshot &m = stats.metrics;
+    stats.programs =
+        static_cast<int>(counterOr0(m, "pipeline.programs"));
+    stats.programsWithCex =
+        static_cast<int>(counterOr0(m, "pipeline.programs_with_cex"));
+    stats.experiments = counterOr0(m, "pipeline.experiments");
+    stats.counterexamples = counterOr0(m, "pipeline.counterexamples");
+    stats.inconclusive = counterOr0(m, "pipeline.inconclusive");
+    stats.generationFailures =
+        counterOr0(m, "pipeline.generation_failures");
+    stats.faultsInjected = counterOr0(m, "faults.injected");
+    stats.retryAttempts = counterOr0(m, "retry.attempts");
+    stats.quarantined =
+        static_cast<int>(counterOr0(m, "pipeline.quarantined"));
+    stats.degraded = static_cast<int>(counterOr0(m, "pipeline.degraded"));
+    stats.programFailures =
+        static_cast<int>(counterOr0(m, "pipeline.program_failures"));
+    stats.dbWriteDrops = counterOr0(m, "pipeline.db_write_drops");
+    stats.ledgerMergeDrops = counterOr0(m, "cover.merge_dropped");
+    stats.schedulerDegraded = counterOr0(m, "cover.degraded") > 0;
+    stats.screened = counterOr0(m, "triage.screened");
+    stats.triageDegraded = counterOr0(m, "triage.degraded");
+    stats.totalGenSeconds =
+        histogramSumOr0(m, "phase.generate_seconds") +
+        histogramSumOr0(m, "phase.symbolic_exec_seconds") +
+        histogramSumOr0(m, "phase.relation_synthesis_seconds") +
+        histogramSumOr0(m, "phase.smt_seconds");
+    stats.totalExeSeconds = histogramSumOr0(m, "phase.hw_run_seconds");
+}
+
+/**
  * The campaign merge tail shared by Pipeline::run() and the shard
  * coordinator: fold the slots in program-index order into a RunStats.
- * `fold_cover` folds the coverage deltas first (the Uniform path —
+ * `ledger` is null when coverage is untracked; `fold_cover` folds
+ * the coverage deltas into it first (the Uniform path —
  * the adaptive scheduler already folded per round); `export_env`
  * honours the SCAMV_COVERAGE_FILE / SCAMV_METRICS /
  * SCAMV_METRICS_TABLE exporters.
@@ -1069,14 +1170,14 @@ runScheduleRange(const PipelineConfig &cfg,
 RunStats
 mergeTailImpl(const PipelineConfig &cfg,
               std::vector<ProgramOutcome> &slots,
-              cover::CoverageLedger *ledger, bool track_cover,
+              cover::CoverageLedger *ledger,
               metrics::Registry &campaign_reg, bool fold_cover,
               int early_stopped, bool export_env)
 {
     RunStats stats;
     stats.earlyStopped = early_stopped;
 
-    if (fold_cover && track_cover)
+    if (fold_cover && ledger)
         mergeCoverDeltas(cfg, *ledger, campaign_reg, slots.data(), 0,
                          static_cast<int>(slots.size()));
 
@@ -1108,86 +1209,13 @@ mergeTailImpl(const PipelineConfig &cfg,
                                   out.findings.begin(),
                                   out.findings.end());
         }
-        if (cfg.database) {
-            // Flush sequentially in program-index order so the
-            // record sequence — and any injected db_write decision —
-            // is independent of the thread count.  The fault plan's
-            // DbWrite site can reject a write; rejected writes are
-            // retried with backoff and finally dropped (counted, not
-            // fatal: the campaign completes with a partial log).
-            metrics::ScopedRegistry flush_scope(campaign_reg);
-            const bool db_faults =
-                cfg.faultPlan.enabled() &&
-                cfg.faultPlan.covers(faults::Site::DbWrite);
-            for (std::size_t prog_i = 0; prog_i < slots.size();
-                 ++prog_i) {
-                faults::Injector db_injector(
-                    cfg.faultPlan, cfg.seed, static_cast<int>(prog_i));
-                std::optional<faults::ScopedInjector> inj_scope;
-                if (db_faults)
-                    inj_scope.emplace(db_injector);
-                for (ExperimentRecord &record :
-                     slots[prog_i].records) {
-                    bool written = false;
-                    for (int attempt = 0;; ++attempt) {
-                        const std::uint64_t before =
-                            faults::injectedCount();
-                        // add() consumes the record, so attempts
-                        // that can fail get their own copy.
-                        written = db_faults
-                                      ? cfg.database->add(record)
-                                      : cfg.database->add(
-                                            std::move(record));
-                        if (written ||
-                            faults::injectedCount() == before ||
-                            attempt >= cfg.retryMax)
-                            break;
-                        retryBackoff(campaign_reg, "db_write",
-                                     attempt);
-                    }
-                    if (!written)
-                        campaign_reg
-                            .counter("pipeline.db_write_drops")
-                            .inc();
-                }
-            }
-        }
+        if (cfg.database)
+            flushDatabase(cfg, slots, campaign_reg);
     }
     stats.metrics.merge(campaign_reg.snapshot());
+    countersFromMetrics(stats);
 
-    // The legacy Table-1 counters are views of the merged snapshot:
-    // one source of truth, so reports and metrics cannot disagree.
-    stats.programs = static_cast<int>(
-        counterOr0(stats.metrics, "pipeline.programs"));
-    stats.programsWithCex = static_cast<int>(
-        counterOr0(stats.metrics, "pipeline.programs_with_cex"));
-    stats.experiments =
-        counterOr0(stats.metrics, "pipeline.experiments");
-    stats.counterexamples =
-        counterOr0(stats.metrics, "pipeline.counterexamples");
-    stats.inconclusive =
-        counterOr0(stats.metrics, "pipeline.inconclusive");
-    stats.generationFailures =
-        counterOr0(stats.metrics, "pipeline.generation_failures");
-    stats.faultsInjected = counterOr0(stats.metrics, "faults.injected");
-    stats.retryAttempts = counterOr0(stats.metrics, "retry.attempts");
-    stats.quarantined = static_cast<int>(
-        counterOr0(stats.metrics, "pipeline.quarantined"));
-    stats.degraded = static_cast<int>(
-        counterOr0(stats.metrics, "pipeline.degraded"));
-    stats.programFailures = static_cast<int>(
-        counterOr0(stats.metrics, "pipeline.program_failures"));
-    stats.dbWriteDrops =
-        counterOr0(stats.metrics, "pipeline.db_write_drops");
-    stats.ledgerMergeDrops =
-        counterOr0(stats.metrics, "cover.merge_dropped");
-    stats.schedulerDegraded =
-        counterOr0(stats.metrics, "cover.degraded") > 0;
-    stats.screened = counterOr0(stats.metrics, "triage.screened");
-    stats.triageDegraded =
-        counterOr0(stats.metrics, "triage.degraded");
-
-    if (track_cover) {
+    if (ledger) {
         stats.coverageTracked = true;
         stats.coverage = ledger->snapshot();
         for (const auto &[templ, cell] : stats.coverage.templates) {
@@ -1201,14 +1229,6 @@ mergeTailImpl(const PipelineConfig &cfg,
             warn("pipeline: cannot write coverage JSON to " +
                  std::string(cov_env));
     }
-    stats.totalGenSeconds =
-        histogramSumOr0(stats.metrics, "phase.generate_seconds") +
-        histogramSumOr0(stats.metrics, "phase.symbolic_exec_seconds") +
-        histogramSumOr0(stats.metrics,
-                        "phase.relation_synthesis_seconds") +
-        histogramSumOr0(stats.metrics, "phase.smt_seconds");
-    stats.totalExeSeconds =
-        histogramSumOr0(stats.metrics, "phase.hw_run_seconds");
 
     // Optional exporters (see README): SCAMV_METRICS writes the JSON
     // snapshot, SCAMV_METRICS_TABLE prints the text table to stderr.
@@ -1312,11 +1332,46 @@ coverageTracked(const PipelineConfig &cfg)
            cfg.coverageLedger != nullptr || (cov && *cov);
 }
 
+/**
+ * The campaign guard around runOneProgram: a task that dies with an
+ * exception (injected or genuine) must cost exactly one program, not
+ * the campaign.  The failed program is counted in a fresh registry —
+ * the task's own registry died with it — so the merged campaign
+ * metrics still account for the program and, for the injected case,
+ * for its fault.
+ */
 ProgramOutcome
 runProgramTask(const PipelineConfig &cfg, const ProgramTask &task)
 {
-    return runOneProgramGuarded(cfg, needsSpecInstrumentation(cfg),
-                                task);
+    const int prog_i = task.prog_i;
+    ProgramOutcome out;
+    bool injected = false;
+    try {
+        return runOneProgram(cfg, task);
+    } catch (const faults::InjectedTaskFault &e) {
+        injected = true;
+        warn(std::string("pipeline: ") + e.what());
+    } catch (const std::exception &e) {
+        warn("pipeline: program task " + std::to_string(prog_i) +
+             " failed: " + e.what());
+    } catch (...) {
+        warn("pipeline: program task " + std::to_string(prog_i) +
+             " failed with a non-standard exception");
+    }
+    out.failed = true;
+    out.name = "program-" + std::to_string(prog_i);
+    metrics::Registry reg(clockMode(cfg));
+    reg.counter("pipeline.programs").inc();
+    reg.counter("pipeline.program_failures").inc();
+    reg.counter("pipeline.degraded").inc();
+    if (injected) {
+        reg.counter("faults.injected").inc();
+        reg.counter(std::string("faults.injected.") +
+                    faults::siteName(faults::Site::TaskAbort))
+            .inc();
+    }
+    out.metrics = reg.snapshot();
+    return out;
 }
 
 CampaignSlice
@@ -1337,9 +1392,7 @@ runCampaignSlice(const PipelineConfig &cfg, int first, int count)
     // re-folds the deltas authoritatively and records the planning
     // deviation as `shard.schedule_local` (see DESIGN.md §12).
     cover::CoverageLedger local_ledger;
-    metrics::Registry scratch(cfg.deterministicMetricsTiming
-                                  ? metrics::ClockMode::Deterministic
-                                  : metrics::ClockMode::Wall);
+    metrics::Registry scratch(clockMode(cfg));
     slice.scheduleLocal = adaptive;
     slice.earlyStopped = runScheduleRange(
         cfg, adaptive ? &local_ledger : nullptr, scratch,
@@ -1355,14 +1408,10 @@ mergeCampaignOutcomes(const PipelineConfig &cfg,
 {
     cover::CoverageLedger local_ledger;
     cover::CoverageLedger *ledger = cfg.coverageLedger;
-    const bool track_cover = coverageTracked(cfg);
-    if (track_cover && !ledger)
+    if (!ledger && coverageTracked(cfg))
         ledger = &local_ledger;
-    metrics::Registry campaign_reg(
-        cfg.deterministicMetricsTiming
-            ? metrics::ClockMode::Deterministic
-            : metrics::ClockMode::Wall);
-    return mergeTailImpl(cfg, slots, ledger, track_cover, campaign_reg,
+    metrics::Registry campaign_reg(clockMode(cfg));
+    return mergeTailImpl(cfg, slots, ledger, campaign_reg,
                          /*fold_cover=*/true, opts.earlyStopped,
                          opts.honorEnvExports);
 }
@@ -1389,9 +1438,7 @@ Pipeline::run()
     // Campaign-level registry: round planning, ledger merging and the
     // final stats/db merge all count into it; it is folded into the
     // campaign snapshot after the per-program snapshots.
-    metrics::Registry campaign_reg(cfg.deterministicMetricsTiming
-                                       ? metrics::ClockMode::Deterministic
-                                       : metrics::ClockMode::Wall);
+    metrics::Registry campaign_reg(clockMode(cfg));
 
     const int early_stopped =
         runScheduleRange(cfg, ledger, campaign_reg, slots.data(), 0,
@@ -1401,9 +1448,8 @@ Pipeline::run()
     // adaptive scheduler already folded per round.
     const bool fold_cover =
         track_cover && *cfg.schedule == Schedule::Uniform;
-    return mergeTailImpl(cfg, slots, ledger, track_cover, campaign_reg,
-                         fold_cover, early_stopped,
-                         /*export_env=*/true);
+    return mergeTailImpl(cfg, slots, ledger, campaign_reg, fold_cover,
+                         early_stopped, /*export_env=*/true);
 }
 
 } // namespace scamv::core

@@ -27,6 +27,13 @@ modelName(ModelKind kind)
     return "?";
 }
 
+bool
+isSpeculative(ModelKind kind)
+{
+    return kind == ModelKind::Mspec || kind == ModelKind::Mspec1 ||
+           kind == ModelKind::MspecPage;
+}
+
 namespace {
 
 /** Observes the program counter of every architectural instruction. */

@@ -68,6 +68,10 @@ enum class ModelKind {
 /** @return the paper's name for a model ("Mpart'", "Mspec1", ...). */
 const char *modelName(ModelKind kind);
 
+/** @return true for the models that observe transient execution
+ *  (Mspec, Mspec1, MspecPage): they need shadow instrumentation. */
+bool isSpeculative(ModelKind kind);
+
 /** Parameters consumed by the models that need them. */
 struct ModelParams {
     CacheGeometry geom;

@@ -1,7 +1,5 @@
 #include "smt/sampler.hh"
 
-#include <functional>
-
 #include "support/faults.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -297,20 +295,6 @@ RepairSampler::sample()
         reg.counter("smt.sampler.failures").inc();
         reg.histogram("smt.sampler.seconds").observe(reg.now() - t0);
         return std::nullopt;
-    }
-    if (config.seedOracle) {
-        if (auto seed = config.seedOracle(formula)) {
-            // Never trust an external model blindly: the oracle may
-            // hand back a stale or mistranslated assignment.
-            if (expr::evalBool(formula, *seed)) {
-                reg.counter("smt.sampler.seeded").inc();
-                reg.counter("smt.sampler.models").inc();
-                reg.histogram("smt.sampler.seconds")
-                    .observe(reg.now() - t0);
-                return seed;
-            }
-            reg.counter("smt.sampler.seed_rejected").inc();
-        }
     }
     Assignment a;
     for (int restart = 0; restart < config.maxRestarts; ++restart) {

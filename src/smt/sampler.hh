@@ -18,7 +18,6 @@
 #ifndef SCAMV_SMT_SAMPLER_HH
 #define SCAMV_SMT_SAMPLER_HH
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -38,18 +37,6 @@ struct SamplerConfig {
     std::uint64_t regionBase = 0x80000;
     std::uint64_t regionLimit = 0x100000;
     double regionBias = 0.85;
-    /**
-     * Optional model source consulted before the stochastic search:
-     * given the formula, return a candidate assignment (e.g. a cached
-     * solver model for a semantically equal formula) or nullopt.  A
-     * returned candidate is re-validated against the formula before
-     * use — an invalid one is counted (`smt.sampler.seed_rejected`)
-     * and the normal search runs.  The hook keeps smt/ free of a
-     * dependency on the query cache: the cache layer supplies the
-     * closure (see qcache::samplerSeedOracle).
-     */
-    std::function<std::optional<expr::Assignment>(expr::Expr)>
-        seedOracle;
 };
 
 /** Stochastic model finder for one formula. */

@@ -24,12 +24,86 @@ budgetKey(const Key &base, std::int64_t conflict_budget)
                mixKey(base.lo, mixKey(kBudgetSalt, b))};
 }
 
-/** Observe one cache-hit latency into the global registry. */
-void
-observeHit(double t0)
+/**
+ * The one SmtUnknown gate of a logical query, mirroring
+ * SmtSolver::solve().  Only consulted when an injector is installed,
+ * so cache-on runs touch the querier's clock identically on hits and
+ * misses.  @return true when an injected Unknown was tallied.
+ */
+bool
+injectedUnknown()
+{
+    if (!faults::current())
+        return false;
+    const double t0 = metrics::current().now();
+    if (!faults::maybeInject(faults::Site::SmtUnknown))
+        return false;
+    smt::tallyQuery(smt::Outcome::Unknown, t0);
+    return true;
+}
+
+/**
+ * Replay a valid entry under `key` into `r`: merge its metric delta
+ * into the querier's registry and observe its latency since `tg0` on
+ * the global clock.  A Sat entry whose model fails concrete
+ * evaluation of `formula` (corrupt or stale, possible with a damaged
+ * persistence file) is dropped instead.  @return the replayed entry.
+ */
+std::optional<Entry>
+replay(QueryCache &cache, const Key &key, const CanonForm &form,
+       Expr formula, double tg0, SolveResult &r)
 {
     metrics::Registry &g = metrics::Registry::global();
-    g.histogram("qcache.hit_seconds").observe(g.now() - t0);
+    auto hit = cache.lookup(key, form.fingerprint);
+    if (!hit)
+        return std::nullopt;
+    if (hit->sat) {
+        expr::Assignment model = toOriginal(form, hit->model);
+        if (!expr::evalBool(formula, model)) {
+            g.counter("qcache.validation_dropped").inc();
+            cache.dropInvalid(key);
+            return std::nullopt;
+        }
+        r.model = std::move(model);
+    }
+    r.outcome = hit->sat ? smt::Outcome::Sat : smt::Outcome::Unsat;
+    metrics::current().merge(hit->delta);
+    g.histogram("qcache.hit_seconds").observe(g.now() - tg0);
+    return hit;
+}
+
+/**
+ * A miss: run `solve` (which fills `r` and returns whether blocking
+ * exhausted the pair) inside a scratch registry with injection
+ * suppressed, merge the captured metric delta into the querier's
+ * registry, and store the result under `key` unless it is Unknown
+ * (budget-dependent, never cached).  @return what `solve` returned.
+ */
+template <class Solve>
+bool
+solveAndStore(QueryCache &cache, const Key &key, const CanonForm &form,
+              SolveResult &r, Solve &&solve)
+{
+    metrics::Registry scratch(metrics::current().clockMode());
+    bool pair_dead = false;
+    {
+        metrics::ScopedRegistry scope(scratch);
+        faults::ScopedSuppress suppress;
+        pair_dead = solve();
+    }
+    metrics::Snapshot delta = scratch.snapshot();
+    metrics::current().merge(delta);
+    if (r.outcome != smt::Outcome::Unknown) {
+        Entry e;
+        e.sat = r.outcome == smt::Outcome::Sat;
+        e.fingerprint = form.fingerprint;
+        e.pairDead = pair_dead;
+        if (r.model)
+            e.model = toCanonical(form, *r.model);
+        e.delta = std::move(delta);
+        cache.store(key, std::move(e));
+    }
+    return pair_dead;
 }
 
 } // namespace
@@ -55,80 +129,22 @@ solveOnce(expr::ExprContext &ctx, Expr formula,
         return r;
     }
 
-    // One SmtUnknown gate per logical query, mirroring solve().  Only
-    // consulted when an injector is installed, so cache-on runs touch
-    // the querier's clock identically on hits and misses.
-    if (faults::current()) {
-        const double t0 = metrics::current().now();
-        if (faults::maybeInject(faults::Site::SmtUnknown))
-            return SolveResult{
-                smt::tallyQuery(smt::Outcome::Unknown, t0),
-                std::nullopt};
-    }
-
-    metrics::Registry &g = metrics::Registry::global();
-    const double tg0 = g.now();
+    SolveResult r;
+    if (injectedUnknown())
+        return r;
+    const double tg0 = metrics::Registry::global().now();
     const CanonForm form = canonicalize(formula);
     const Key key = budgetKey(form.key, conflict_budget);
-
-    if (auto hit = cache->lookup(key, form.fingerprint)) {
-        if (!hit->sat) {
-            metrics::current().merge(hit->delta);
-            observeHit(tg0);
-            return SolveResult{smt::Outcome::Unsat, std::nullopt};
-        }
-        expr::Assignment model = toOriginal(form, hit->model);
-        if (expr::evalBool(formula, model)) {
-            metrics::current().merge(hit->delta);
-            observeHit(tg0);
-            return SolveResult{smt::Outcome::Sat, std::move(model)};
-        }
-        // Corrupt or stale entry (possible with a damaged persistence
-        // file): drop it and recompute below.
-        g.counter("qcache.validation_dropped").inc();
-        cache->dropInvalid(key);
-    }
-
-    // Miss: solve inside a scratch registry so the metric delta can
-    // be captured, merged, and stored for future hits.
-    SolveResult r;
-    metrics::Registry scratch(metrics::current().clockMode());
-    {
-        metrics::ScopedRegistry scope(scratch);
-        faults::ScopedSuppress suppress;
+    if (replay(*cache, key, form, formula, tg0, r))
+        return r;
+    solveAndStore(*cache, key, form, r, [&] {
         smt::SmtSolver solver(ctx, formula);
         r.outcome = solver.solveNoInject(conflict_budget);
         if (r.outcome == smt::Outcome::Sat)
             r.model = solver.model();
-    }
-    metrics::Snapshot delta = scratch.snapshot();
-    metrics::current().merge(delta);
-    if (r.outcome != smt::Outcome::Unknown) {
-        Entry e;
-        e.sat = r.outcome == smt::Outcome::Sat;
-        e.fingerprint = form.fingerprint;
-        if (r.model)
-            e.model = toCanonical(form, *r.model);
-        e.delta = std::move(delta);
-        cache->store(key, std::move(e));
-    }
+        return false;
+    });
     return r;
-}
-
-std::function<std::optional<expr::Assignment>(Expr)>
-samplerSeedOracle(QueryCache *cache, std::int64_t conflict_budget)
-{
-    return [cache, conflict_budget](
-               Expr formula) -> std::optional<expr::Assignment> {
-        if (!cache)
-            return std::nullopt;
-        const CanonForm form = canonicalize(formula);
-        auto hit = cache->lookup(budgetKey(form.key, conflict_budget),
-                                 form.fingerprint);
-        if (!hit || !hit->sat)
-            return std::nullopt;
-        return toOriginal(form, hit->model);
-    };
 }
 
 CachedEnumerator::CachedEnumerator(expr::ExprContext &ctx_,
@@ -201,86 +217,53 @@ CachedEnumerator::solver()
 }
 
 CachedEnumerator::Step
+CachedEnumerator::nextWith(Expr assumption,
+                           std::int64_t conflict_budget)
+{
+    SCAMV_ASSERT(!cache, "qcache: assumption steps are never cached");
+    ensureSolverAt(step_);
+    Step s;
+    s.outcome = assumption ? solver_->solveWith(assumption, conflict_budget)
+                           : solver_->solve(conflict_budget);
+    if (s.outcome == smt::Outcome::Sat) {
+        s.model = solver_->model();
+        if (!solver_->blockCurrentModel(blockVars, blockBits))
+            dead_ = true;
+        ++solverStep_;
+        ++step_;
+    }
+    return s;
+}
+
+CachedEnumerator::Step
 CachedEnumerator::next(std::int64_t conflict_budget)
 {
+    if (!cache)
+        return nextWith(nullptr, conflict_budget);
+
     Step s;
-    if (!cache) {
-        ensureSolverAt(step_);
-        s.outcome = solver_->solve(conflict_budget);
-        if (s.outcome == smt::Outcome::Sat) {
-            s.model = solver_->model();
-            if (!solver_->blockCurrentModel(blockVars, blockBits))
-                dead_ = true;
-            ++solverStep_;
-            ++step_;
-        }
+    if (injectedUnknown())
+        return s;
+    const double tg0 = metrics::Registry::global().now();
+    const Key key = stepKey(step_, conflict_budget);
+    if (auto hit = replay(*cache, key, form, formula_, tg0, s)) {
+        if (hit->pairDead)
+            dead_ = true;
+        ++step_;
         return s;
     }
 
-    // One SmtUnknown gate per logical step (cf. solveOnce).
-    if (faults::current()) {
-        const double t0 = metrics::current().now();
-        if (faults::maybeInject(faults::Site::SmtUnknown)) {
-            s.outcome = smt::tallyQuery(smt::Outcome::Unknown, t0);
-            return s;
-        }
-    }
-
-    metrics::Registry &g = metrics::Registry::global();
-    const double tg0 = g.now();
-    const Key key = stepKey(step_, conflict_budget);
-    if (auto hit = cache->lookup(key, form.fingerprint)) {
-        if (!hit->sat) {
-            metrics::current().merge(hit->delta);
-            ++step_;
-            s.outcome = smt::Outcome::Unsat;
-            observeHit(tg0);
-            return s;
-        }
-        expr::Assignment model = toOriginal(form, hit->model);
-        if (expr::evalBool(formula_, model)) {
-            metrics::current().merge(hit->delta);
-            if (hit->pairDead)
-                dead_ = true;
-            ++step_;
-            s.outcome = smt::Outcome::Sat;
-            s.model = std::move(model);
-            observeHit(tg0);
-            return s;
-        }
-        g.counter("qcache.validation_dropped").inc();
-        cache->dropInvalid(key);
-    }
-
-    // Miss: bring the solver up to this step, run it inside a scratch
-    // registry, and store the captured step.
+    // Miss: bring the solver up to this step and solve it.
     ensureSolverAt(step_);
-    bool block_dead = false;
-    metrics::Registry scratch(metrics::current().clockMode());
-    {
-        metrics::ScopedRegistry scope(scratch);
-        faults::ScopedSuppress suppress;
+    const bool block_dead = solveAndStore(*cache, key, form, s, [&] {
         s.outcome = solver_->solveNoInject(conflict_budget);
-        if (s.outcome == smt::Outcome::Sat) {
-            s.model = solver_->model();
-            if (!solver_->blockCurrentModel(blockVars, blockBits))
-                block_dead = true;
-        }
-    }
-    metrics::Snapshot delta = scratch.snapshot();
-    metrics::current().merge(delta);
+        if (s.outcome != smt::Outcome::Sat)
+            return false;
+        s.model = solver_->model();
+        return !solver_->blockCurrentModel(blockVars, blockBits);
+    });
     if (s.outcome == smt::Outcome::Unknown)
         return s; // budget-dependent: never cached, step not advanced
-
-    Entry e;
-    e.sat = s.outcome == smt::Outcome::Sat;
-    e.fingerprint = form.fingerprint;
-    e.pairDead = block_dead;
-    if (s.model)
-        e.model = toCanonical(form, *s.model);
-    e.delta = std::move(delta);
-    cache->store(key, std::move(e));
-
     if (s.outcome == smt::Outcome::Sat) {
         if (block_dead)
             dead_ = true;

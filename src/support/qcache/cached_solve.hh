@@ -10,13 +10,14 @@
  *    cached Sat into what an uncached run would have reported as
  *    Unknown.
  *
- *  - `CachedEnumerator`: the pipeline's canonical model-enumeration
- *    loop (solve, extract model, block it, repeat).  Each step is a
+ *  - `CachedEnumerator`: the pipeline's model-enumeration loop
+ *    (solve, extract model, block it, repeat).  Each step is a
  *    distinct logical query keyed by (formula, blocking config, step
  *    index, budget); on a miss past cached steps the enumerator
  *    rebuilds the incremental solver by replaying the cached prefix —
  *    fingerprint gating guarantees the replayed CDCL trajectory is
- *    the original one, so the rebuilt state is exact.
+ *    the original one, so the rebuilt state is exact.  Steps under an
+ *    extra assumption (the Mline coverage redraws) are never cached.
  *
  * Metric discipline: a miss solves inside a scratch registry and the
  * captured delta is both merged into the querier's registry and
@@ -35,7 +36,6 @@
 #define SCAMV_SUPPORT_QCACHE_CACHED_SOLVE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -70,22 +70,9 @@ SolveResult solveOnce(expr::ExprContext &ctx, expr::Expr formula,
 Key solveKey(const CanonForm &form, std::int64_t conflict_budget);
 
 /**
- * Adapter for smt::SamplerConfig::seedOracle: looks up a cached Sat
- * model for the sampler's formula (keyed with `conflict_budget`, the
- * budget its solver twin would use) and returns it translated to the
- * caller's names.  Purely a hint — no metrics are merged, and the
- * sampler revalidates before accepting.  Not wired into the pipeline
- * (the sampler strategy is explicitly a diversity strategy); exposed
- * for harnesses that want warm-start sampling.
- */
-std::function<std::optional<expr::Assignment>(expr::Expr)>
-samplerSeedOracle(QueryCache *cache, std::int64_t conflict_budget);
-
-/**
- * Cache-aware replacement for the pipeline's per-pair incremental
- * solver.  With a null cache, `solver()` hands out a lazily
- * constructed SmtSolver and the pipeline drives it exactly as before;
- * with a cache, `next()` runs the enumeration step through the cache.
+ * The pipeline's per-pair incremental model enumerator.  With a null
+ * cache every step solves directly on one lazily constructed
+ * SmtSolver; with a cache, `next()` runs the step through the cache.
  */
 class CachedEnumerator
 {
@@ -102,10 +89,7 @@ class CachedEnumerator
                      int block_bits, QueryCache *cache);
 
     /** One enumeration step: solve, then block the found model. */
-    struct Step {
-        smt::Outcome outcome = smt::Outcome::Unknown;
-        std::optional<expr::Assignment> model;
-    };
+    using Step = SolveResult;
 
     /**
      * Run the next enumeration step under `conflict_budget`.  On Sat
@@ -115,21 +99,23 @@ class CachedEnumerator
      */
     Step next(std::int64_t conflict_budget);
 
-    /** @return true when steps go through the query cache. */
-    bool usesCache() const { return cache != nullptr; }
+    /**
+     * One enumeration step under an extra `assumption` (solveWith,
+     * then model, then block; a null assumption is a plain step),
+     * never cached: only an enumerator built without a cache may take
+     * it.  Unsat or Unknown leaves the enumeration where it was.
+     */
+    Step nextWith(expr::Expr assumption, std::int64_t conflict_budget);
 
     /** @return true once blocking has exhausted the enumeration. */
     bool dead() const { return dead_; }
 
     /**
-     * Direct access to the underlying incremental solver for the
-     * non-cached strategies (coverage constraints, random phases).
-     * Materializes the solver — replaying any cached prefix first —
-     * on first use.
+     * Direct access to the underlying incremental solver (random
+     * phases).  Materializes the solver — replaying any cached prefix
+     * first — on first use.
      */
     smt::SmtSolver &solver();
-
-    expr::Expr formula() const { return formula_; }
 
   private:
     void ensureSolverAt(int target);

@@ -184,28 +184,34 @@ expectSameCounters(const RunStats &a, const RunStats &b)
 
 TEST(Pipeline, ThreadCountDeterminism)
 {
-    PipelineConfig cfg = baseConfig();
-    cfg.templateKind = gen::TemplateKind::A;
-    cfg.model = obs::ModelKind::Mct;
-    cfg.refinement = obs::ModelKind::Mspec;
-    cfg.train = true;
-    cfg.programs = 8;
-    cfg.testsPerProgram = 6;
-    cfg.platform.noiseProbability = 0.05; // exercise the noise Rng too
+    for (SolveStrategy strategy :
+         {SolveStrategy::Canonical, SolveStrategy::RandomPhases,
+          SolveStrategy::Sampler}) {
+        SCOPED_TRACE(static_cast<int>(strategy));
+        PipelineConfig cfg = baseConfig();
+        cfg.templateKind = gen::TemplateKind::A;
+        cfg.model = obs::ModelKind::Mct;
+        cfg.refinement = obs::ModelKind::Mspec;
+        cfg.train = true;
+        cfg.programs = 8;
+        cfg.testsPerProgram = 6;
+        cfg.strategy = strategy;
+        cfg.platform.noiseProbability = 0.05; // the noise Rng too
 
-    ExperimentDb db_serial, db_parallel;
-    PipelineConfig serial = cfg;
-    serial.threads = 1;
-    serial.database = &db_serial;
-    PipelineConfig parallel = cfg;
-    parallel.threads = 4;
-    parallel.database = &db_parallel;
+        ExperimentDb db_serial, db_parallel;
+        PipelineConfig serial = cfg;
+        serial.threads = 1;
+        serial.database = &db_serial;
+        PipelineConfig parallel = cfg;
+        parallel.threads = 4;
+        parallel.database = &db_parallel;
 
-    const RunStats s = Pipeline(serial).run();
-    const RunStats p = Pipeline(parallel).run();
-    expectSameCounters(s, p);
-    expectSameDb(db_serial, db_parallel);
-    EXPECT_GT(s.experiments, 0);
+        const RunStats s = Pipeline(serial).run();
+        const RunStats p = Pipeline(parallel).run();
+        expectSameCounters(s, p);
+        expectSameDb(db_serial, db_parallel);
+        EXPECT_GT(s.experiments, 0);
+    }
 }
 
 TEST(Pipeline, ThreadCountDeterminismWithLineCoverage)
