@@ -27,7 +27,7 @@ echo "== TSan: thread pool + pipeline tests (${TSAN_DIR}) =="
 cmake -B "$TSAN_DIR" -S . "${GENERATOR[@]}" -DSCAMV_ENABLE_TSAN=ON
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target test_thread_pool test_pipeline test_metrics test_qcache \
-    test_cover test_svc
+    test_cover test_svc test_eval test_alloc
 
 # Force a real multi-thread pool even on single-core CI runners so
 # TSan observes genuine cross-thread interleavings.
@@ -43,6 +43,10 @@ SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_cover \
 # Campaign service: worker fleet + merger thread + socket server.
 SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_svc \
     --gtest_filter='SvcTest.*'
+# The evaluator's per-thread memo, from two threads at once, and the
+# allocation gate under the sanitizer's allocator.
+"$TSAN_DIR"/tests/test_eval
+"$TSAN_DIR"/tests/test_alloc
 
 echo "== ASan/UBSan: full test suite (${ASAN_DIR}) =="
 cmake -B "$ASAN_DIR" -S . "${GENERATOR[@]}" -DSCAMV_ENABLE_ASAN=ON

@@ -187,29 +187,7 @@ std::vector<Reg>
 Instr::sourceRegs() const
 {
     std::vector<Reg> srcs;
-    switch (kind) {
-      case InstrKind::Alu:
-      case InstrKind::Load:
-        srcs.push_back(rn);
-        if (!useImm)
-            srcs.push_back(rm);
-        break;
-      case InstrKind::Store:
-        srcs.push_back(rd); // value register
-        srcs.push_back(rn);
-        if (!useImm)
-            srcs.push_back(rm);
-        break;
-      case InstrKind::Branch:
-        srcs.push_back(rn);
-        if (!useImm)
-            srcs.push_back(rm);
-        break;
-      case InstrKind::MovImm:
-      case InstrKind::Jump:
-      case InstrKind::Halt:
-        break;
-    }
+    forEachSourceReg([&](Reg r) { srcs.push_back(r); });
     return srcs;
 }
 
@@ -233,19 +211,22 @@ Program::validate() const
     if (n == 0)
         return "empty program";
     auto regOk = [](Reg r) { return r >= 0 && r < kNumRegs; };
+    // The message is built only on failure: a valid program is
+    // checked without allocating.
+    auto err = [](int idx, const char *what) {
+        return "instr " + std::to_string(idx) + ": " + what;
+    };
     for (int idx = 0; idx < n; ++idx) {
         const Instr &i = code[idx];
-        std::ostringstream err;
-        err << "instr " << idx << ": ";
-        for (Reg r : i.sourceRegs()) {
-            if (!regOk(r))
-                return err.str() + "source register out of range";
-        }
+        bool sources_ok = true;
+        i.forEachSourceReg([&](Reg r) { sources_ok &= regOk(r); });
+        if (!sources_ok)
+            return err(idx, "source register out of range");
         if (i.destReg() != -1 && !regOk(i.destReg()))
-            return err.str() + "destination register out of range";
+            return err(idx, "destination register out of range");
         if (i.kind == InstrKind::Branch || i.kind == InstrKind::Jump) {
             if (i.target < 0 || i.target > n)
-                return err.str() + "target out of range";
+                return err(idx, "target out of range");
         }
     }
     const Instr &last = code.back();

@@ -89,6 +89,30 @@ struct Instr {
     /** @return registers read by this instruction. */
     std::vector<Reg> sourceRegs() const;
 
+    /** Call f(r) for each register of sourceRegs(), in that order,
+     *  without building the vector. */
+    template <class F>
+    void
+    forEachSourceReg(F &&f) const
+    {
+        switch (kind) {
+          case InstrKind::Store:
+            f(rd); // value register
+            [[fallthrough]];
+          case InstrKind::Alu:
+          case InstrKind::Load:
+          case InstrKind::Branch:
+            f(rn);
+            if (!useImm)
+                f(rm);
+            break;
+          case InstrKind::MovImm:
+          case InstrKind::Jump:
+          case InstrKind::Halt:
+            break;
+        }
+    }
+
     /** @return destination register, or -1 if none. */
     Reg destReg() const;
 

@@ -69,68 +69,216 @@ deriveProgramSeed(std::uint64_t seed, int prog_i)
 
 Pipeline::Pipeline(const PipelineConfig &config) : cfg(config) {}
 
+namespace {
+
+/** @return true when inserting one more key into `m` may rehash it
+ *  (the standard keeps iterators valid only up to the load factor). */
+template <class Map>
+bool
+insertMayRehash(const Map &m)
+{
+    return m.bucket_count() <= 1 ||
+           static_cast<double>(m.size() + 1) >
+               m.max_load_factor() * static_cast<double>(m.bucket_count());
+}
+
+/**
+ * In-place edits of s2's registers and memory in a model, undone
+ * exactly when the edited model fails the formula.  "Exactly"
+ * includes every map's iteration order, which the db's s2_mem column
+ * follows: an overwrite is undone by writing the old value back and
+ * an insert by erasing the key, which restores the node order of a
+ * map that did not rehash.  Before the first insert that may rehash
+ * a map, the edit saves a copy of the map as it was and restores
+ * that instead.
+ */
+class ModelEdit
+{
+  public:
+    explicit ModelEdit(expr::Assignment &model) : model(model) {}
+
+    /** model.bvVars[name] = v (`name` must outlive the edit). */
+    void
+    setBv(const std::string &name, std::uint64_t v)
+    {
+        auto &vars = model.bvVars;
+        auto it = vars.find(name);
+        if (it != vars.end()) {
+            bvLog.push_back({&name, true, it->second});
+            it->second = v;
+            return;
+        }
+        if (!bvBackup && insertMayRehash(vars)) {
+            bvBackup = vars;
+            revert(*bvBackup, bvLog);
+        }
+        if (!bvBackup)
+            bvLog.push_back({&name, false, 0});
+        vars.emplace(name, v);
+    }
+
+    /** model.mems["mem_2"].storeWord(addr, v). */
+    void
+    storeMem2(std::uint64_t addr, std::uint64_t v)
+    {
+        auto it = model.mems.find(mem2);
+        if (it == model.mems.end()) {
+            if (insertMayRehash(model.mems))
+                memsBackup = model.mems;
+            it = model.mems.try_emplace(mem2).first;
+            createdMem2 = true;
+        }
+        expr::ConcreteMemory &mem = it->second;
+        if (!createdMem2 && !wordsBackup) {
+            if (mem.contains(addr)) {
+                wordLog.push_back({addr, true, mem.load(addr)});
+            } else if (insertMayRehash(mem.entries())) {
+                wordsBackup = mem;
+                revert(*wordsBackup, wordLog);
+            } else {
+                wordLog.push_back({addr, false, 0});
+            }
+        }
+        mem.storeWord(addr, v);
+    }
+
+    /** Keep the edits made since the last finish(), or undo them. */
+    void
+    finish(bool keep)
+    {
+        if (!keep)
+            undo();
+        bvLog.clear();
+        wordLog.clear();
+        bvBackup.reset();
+        wordsBackup.reset();
+        memsBackup.reset();
+        createdMem2 = false;
+    }
+
+  private:
+    struct BvUndo {
+        const std::string *name;
+        bool existed;
+        std::uint64_t old;
+    };
+    struct WordUndo {
+        std::uint64_t addr;
+        bool existed;
+        std::uint64_t old;
+    };
+
+    static void
+    revert(std::unordered_map<std::string, std::uint64_t> &vars,
+           const std::vector<BvUndo> &log)
+    {
+        for (auto u = log.rbegin(); u != log.rend(); ++u) {
+            if (u->existed)
+                vars.find(*u->name)->second = u->old;
+            else
+                vars.erase(*u->name);
+        }
+    }
+
+    static void
+    revert(expr::ConcreteMemory &mem, const std::vector<WordUndo> &log)
+    {
+        for (auto u = log.rbegin(); u != log.rend(); ++u) {
+            if (u->existed)
+                mem.storeWord(u->addr, u->old);
+            else
+                mem.erase(u->addr);
+        }
+    }
+
+    void
+    undo()
+    {
+        if (bvBackup)
+            model.bvVars = std::move(*bvBackup);
+        else
+            revert(model.bvVars, bvLog);
+        if (memsBackup)
+            model.mems = std::move(*memsBackup);
+        else if (createdMem2)
+            model.mems.erase(mem2);
+        else if (wordsBackup)
+            model.mems.find(mem2)->second = std::move(*wordsBackup);
+        else if (!wordLog.empty())
+            revert(model.mems.find(mem2)->second, wordLog);
+    }
+
+    expr::Assignment &model;
+    const std::string &mem2 = harness::stateNames("_2").mem;
+    std::vector<BvUndo> bvLog;
+    std::vector<WordUndo> wordLog;
+    std::optional<std::unordered_map<std::string, std::uint64_t>> bvBackup;
+    std::optional<expr::ConcreteMemory> wordsBackup;
+    std::optional<decltype(expr::Assignment::mems)> memsBackup;
+    bool createdMem2 = false;
+};
+
 /** Register variables of both states, for model blocking. */
-static std::vector<Expr>
+std::vector<Expr>
 blockingVars(ExprContext &ctx, const bir::Program &program)
 {
+    const harness::StateNames &s1 = harness::stateNames("_1");
+    const harness::StateNames &s2 = harness::stateNames("_2");
     std::vector<Expr> vars;
     for (bir::Reg r : program.usedRegs()) {
-        vars.push_back(ctx.bvVar("x" + std::to_string(r) + "_1"));
-        vars.push_back(ctx.bvVar("x" + std::to_string(r) + "_2"));
+        vars.push_back(ctx.bvVar(s1.regs[r]));
+        vars.push_back(ctx.bvVar(s2.regs[r]));
     }
     return vars;
 }
+
+} // namespace
 
 void
 symmetrizeModel(Expr formula, const bir::Program &program,
                 expr::Assignment &model, Rng &rng, double bias)
 {
+    const harness::StateNames &s1 = harness::stateNames("_1");
+    const harness::StateNames &s2 = harness::stateNames("_2");
+    ModelEdit edit(model);
     auto try_merge = [&](auto mutate) {
         if (!rng.chance(bias))
             return;
-        expr::Assignment candidate = model;
-        mutate(candidate);
-        if (expr::evalBool(formula, candidate))
-            model = std::move(candidate);
+        mutate(edit);
+        edit.finish(expr::evalBool(formula, model));
     };
+
+    // s1's memory words, in the map's order (s1 is never edited).
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> mem1_cells;
+    if (auto m1 = model.mems.find(s1.mem); m1 != model.mems.end())
+        for (const auto &[addr, val] : m1->second.entries())
+            mem1_cells.emplace_back(addr, val);
 
     // Wholesale merge first: s2 := s1.  Relations without refinement
     // are reflexive, so this almost always succeeds for the unguided
     // baseline; refinement disequalities reject it, and the per-
     // component passes below then remove only incidental asymmetry.
-    try_merge([&](expr::Assignment &c) {
+    try_merge([&](ModelEdit &e) {
         for (bir::Reg r : program.usedRegs())
-            c.bvVars["x" + std::to_string(r) + "_2"] =
-                c.bv("x" + std::to_string(r) + "_1");
-        if (auto m1 = c.mems.find("mem_1"); m1 != c.mems.end()) {
-            auto cells = m1->second.entries();
-            for (const auto &[addr, val] : cells)
-                c.mems["mem_2"].storeWord(addr, val);
-        }
+            e.setBv(s2.regs[r], model.bv(s1.regs[r]));
+        for (const auto &[addr, val] : mem1_cells)
+            e.storeMem2(addr, val);
     });
 
     for (bir::Reg r : program.usedRegs()) {
-        const std::string v1 = "x" + std::to_string(r) + "_1";
-        const std::string v2 = "x" + std::to_string(r) + "_2";
-        if (model.bv(v1) == model.bv(v2))
+        if (model.bv(s1.regs[r]) == model.bv(s2.regs[r]))
             continue;
-        try_merge([&](expr::Assignment &c) {
-            c.bvVars[v2] = c.bv(v1);
+        try_merge([&](ModelEdit &e) {
+            e.setBv(s2.regs[r], model.bv(s1.regs[r]));
         });
     }
 
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> mem1_cells;
-    if (auto m1 = model.mems.find("mem_1"); m1 != model.mems.end())
-        for (const auto &[addr, val] : m1->second.entries())
-            mem1_cells.emplace_back(addr, val);
     for (const auto &[a, v] : mem1_cells) {
-        auto m2 = model.mems.find("mem_2");
+        auto m2 = model.mems.find(s2.mem);
         if (m2 != model.mems.end() && m2->second.contains(a) &&
             m2->second.load(a) == v)
             continue;
-        try_merge([&](expr::Assignment &c) {
-            c.mems["mem_2"].storeWord(a, v);
-        });
+        try_merge([&](ModelEdit &e) { e.storeMem2(a, v); });
     }
 }
 

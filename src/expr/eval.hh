@@ -43,6 +43,9 @@ class ConcreteMemory
     /** @return true iff addr has an explicit entry. */
     bool contains(std::uint64_t addr) const { return words.count(addr); }
 
+    /** Drop addr's explicit entry, if any. */
+    void erase(std::uint64_t addr) { words.erase(addr); }
+
     /** Underlying sparse map (iteration for experiment setup). */
     const std::unordered_map<std::uint64_t, std::uint64_t> &
     entries() const

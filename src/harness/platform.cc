@@ -1,23 +1,42 @@
 #include "harness/platform.hh"
 
+#include <memory>
+
 #include "support/faults.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 
 namespace scamv::harness {
 
+const StateNames &
+stateNames(const std::string &suffix)
+{
+    thread_local std::vector<std::unique_ptr<StateNames>> known;
+    for (const auto &n : known)
+        if (n->suffix == suffix)
+            return *n;
+    auto n = std::make_unique<StateNames>();
+    n->suffix = suffix;
+    for (int r = 0; r < bir::kNumRegs; ++r)
+        n->regs[r] = "x" + std::to_string(r) + suffix;
+    n->mem = "mem" + suffix;
+    known.push_back(std::move(n));
+    return *known.back();
+}
+
 ProgramInput
 inputFromAssignment(const expr::Assignment &a, const std::string &suffix)
 {
+    const StateNames &names = stateNames(suffix);
     ProgramInput input;
-    for (int r = 0; r < bir::kNumRegs; ++r) {
-        auto it = a.bvVars.find("x" + std::to_string(r) + suffix);
-        input.regs.regs[r] = it == a.bvVars.end() ? 0 : it->second;
-    }
-    auto mit = a.mems.find("mem" + suffix);
-    if (mit != a.mems.end())
+    for (int r = 0; r < bir::kNumRegs; ++r)
+        input.regs.regs[r] = a.bv(names.regs[r]);
+    auto mit = a.mems.find(names.mem);
+    if (mit != a.mems.end()) {
+        input.mem.reserve(mit->second.entries().size());
         for (const auto &[addr, val] : mit->second.entries())
             input.mem.emplace_back(addr, val);
+    }
     return input;
 }
 
@@ -54,7 +73,7 @@ Platform::simulate(const bir::Program &program, const ProgramInput &input)
         }
     }
 
-    core.run(program, input.regs, runScratch);
+    core.execute(program, input.regs, runScratch);
 }
 
 Platform::Strays
@@ -74,7 +93,7 @@ Platform::drawStrays()
     // System interference: a stray access to a random line.
     if (cfg.noiseProbability > 0.0 &&
         noiseRng.chance(cfg.noiseProbability)) {
-        metrics::current().counter("platform.noise_injections").inc();
+        counters[kNoiseInjections].inc();
         strays.addrs[strays.count++] = random_line(0x7fffULL);
     }
     // Injected measurement flake: a stray access indistinguishable
@@ -85,20 +104,18 @@ Platform::drawStrays()
     return strays;
 }
 
-Platform::Measurement
-Platform::observe()
+void
+Platform::observe(Measurement &m)
 {
-    Measurement m;
     if (cfg.channel == Channel::TlbSnapshot) {
-        m.tlb = core.tlb().snapshot();
+        core.tlb().snapshot(m.tlb);
     } else if (cfg.channel == Channel::PrimeProbe) {
         // Probe: time a reload of every primed line (PMC cycles).
         // Victim activity in a set evicted attacker ways, turning
         // probe hits into misses.
         const int shift = cfg.core.geom.lineShift();
         const std::uint64_t sets = cfg.core.geom.numSets;
-        m.probeLatencies.reserve(cfg.visibleHiSet - cfg.visibleLoSet +
-                                 1);
+        m.probeLatencies.clear();
         for (std::uint64_t set = cfg.visibleLoSet;
              set <= cfg.visibleHiSet; ++set) {
             // Probe in reverse prime order: refreshing the most-
@@ -115,21 +132,22 @@ Platform::observe()
             m.probeLatencies.push_back(total);
         }
     } else {
-        m.cache = core.cache().snapshot(cfg.visibleLoSet,
-                                        cfg.visibleHiSet);
+        core.cache().snapshot(cfg.visibleLoSet, cfg.visibleHiSet,
+                              m.cache);
     }
-    return m;
 }
 
-Platform::Measurement
+const Platform::Measurement &
 Platform::measure(const bir::Program &program, const ProgramInput &input)
 {
+    SCAMV_ASSERT(program.validate().empty(), "platform: invalid program");
     core.resetMicroarch();
     simulate(program, input);
     const Strays strays = drawStrays();
     for (int k = 0; k < strays.count; ++k)
         core.cache().access(strays.addrs[k]);
-    return observe();
+    observe(scratch[0]);
+    return scratch[0];
 }
 
 ExperimentResult
@@ -137,13 +155,14 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
                         const std::optional<ProgramInput> &training)
 {
     SCAMV_ASSERT(cfg.repeats > 0, "repeats must be positive");
-    metrics::Registry &reg = metrics::current();
-    reg.counter("platform.experiments").inc();
-    reg.counter("platform.repetitions")
-        .add(static_cast<std::uint64_t>(cfg.repeats));
-    reg.counter("platform.training_runs")
-        .add(static_cast<std::uint64_t>(cfg.repeats) *
-             static_cast<std::uint64_t>(cfg.trainingRuns));
+    // Validated once here; every core run below uses the unchecked
+    // Core::execute().
+    SCAMV_ASSERT(program.validate().empty(), "platform: invalid program");
+    counters[kExperiments].inc();
+    counters[kRepetitions].add(static_cast<std::uint64_t>(cfg.repeats));
+    counters[kTrainingRuns].add(
+        static_cast<std::uint64_t>(cfg.repeats) *
+        static_cast<std::uint64_t>(cfg.trainingRuns));
     ExperimentResult result;
     result.totalReps = cfg.repeats;
     int clean_differing = 0;
@@ -163,7 +182,7 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
         core.memory().clear();
         for (const auto &[addr, val] : warmup.mem)
             core.memory().store(addr, val);
-        core.run(program, warmup.regs, runScratch);
+        core.execute(program, warmup.regs, runScratch);
     }
 
     // The board has no randomness of its own: every repetition would
@@ -173,7 +192,6 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
     // simulate() wipes the cache before the next measurement, so
     // replaying them on a copy of the post-run cache reproduces a
     // fresh core per repetition exactly.
-    Measurement base[2];
     const ProgramInput *states[2] = {&tc.s1, &tc.s2};
     for (int i = 0; i < 2; ++i) {
         simulate(program, *states[i]);
@@ -182,10 +200,9 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
         // Probing draws jitter faults, so PrimeProbe has no noise-free
         // measurement to reuse: every repetition probes.
         if (cfg.channel != Channel::PrimeProbe)
-            base[i] = observe();
+            observe(base[i]);
     }
 
-    Measurement scratch[2];
     auto replay = [&](int i) -> const Measurement & {
         const Strays strays = drawStrays();
         // Stray accesses touch only the cache: the TLB never sees
@@ -197,7 +214,7 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
         core.cache() = postRun[i];
         for (int k = 0; k < strays.count; ++k)
             core.cache().access(strays.addrs[k]);
-        scratch[i] = observe();
+        observe(scratch[i]);
         return scratch[i];
     };
 

@@ -28,11 +28,13 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "expr/eval.hh"
 #include "hw/core.hh"
+#include "support/metrics.hh"
 #include "support/rng.hh"
 
 namespace scamv::harness {
@@ -55,6 +57,21 @@ struct TestCase {
 
     bool operator==(const TestCase &) const = default;
 };
+
+/** Solver variable names of one state: "x<i><suffix>" per register
+ *  and "mem<suffix>". */
+struct StateNames {
+    std::string suffix;
+    std::array<std::string, bir::kNumRegs> regs;
+    std::string mem;
+};
+
+/**
+ * @return the names for `suffix`, built on the first call per suffix
+ * and thread and valid for the thread's lifetime (the pipeline uses
+ * three suffixes: "_1", "_2" and "_t").
+ */
+const StateNames &stateNames(const std::string &suffix);
 
 /**
  * Convert a solver model into the ProgramInput for one state: register
@@ -152,7 +169,8 @@ class Platform
     const PlatformConfig &config() const { return cfg; }
 
   private:
-    /** One channel measurement: snapshot or probe latencies. */
+    /** One channel measurement: snapshot or probe latencies.  Only
+     *  the configured channel's field is ever filled. */
     struct Measurement {
         hw::CacheState cache;
         std::vector<std::uint64_t> probeLatencies;
@@ -172,11 +190,13 @@ class Platform
     void simulate(const bir::Program &program, const ProgramInput &input);
     /** Draw the stray accesses that land after one measured run. */
     Strays drawStrays();
-    /** Read the channel from the board's current state. */
-    Measurement observe();
-    /** One complete measurement on a freshly reset board. */
-    Measurement measure(const bir::Program &program,
-                        const ProgramInput &input);
+    /** Read the channel from the board's current state into `m`,
+     *  reusing its storage. */
+    void observe(Measurement &m);
+    /** One complete measurement on a freshly reset board, into
+     *  `scratch[0]`. */
+    const Measurement &measure(const bir::Program &program,
+                               const ProgramInput &input);
 
     PlatformConfig cfg;
     Rng noiseRng;
@@ -186,6 +206,20 @@ class Platform
     std::array<hw::Cache, 2> postRun;
     /** Reused run-result buffer (trace capacity persists). */
     hw::RunResult runScratch;
+    /** Per state (s1, s2): the noise-free measurement and the one of
+     *  the current repetition.  Members, so their buffers keep their
+     *  capacity from one experiment to the next. */
+    std::array<Measurement, 2> base;
+    std::array<Measurement, 2> scratch;
+    /** Slots of `counters`. */
+    enum PlatformCounter : std::size_t {
+        kExperiments, kRepetitions, kTrainingRuns, kNoiseInjections,
+        kNumPlatformCounters
+    };
+    /** The platform.* counters of metrics::current(). */
+    metrics::CounterHandles<kNumPlatformCounters> counters{{
+        "platform.experiments", "platform.repetitions",
+        "platform.training_runs", "platform.noise_injections"}};
 };
 
 } // namespace scamv::harness

@@ -25,11 +25,25 @@ using CacheSetState = std::vector<std::uint64_t>;
 /** Full-cache snapshot: one CacheSetState per set index. */
 using CacheState = std::vector<CacheSetState>;
 
-/** LRU set-associative cache. */
+/**
+ * LRU set-associative cache.
+ *
+ * A run touches a handful of sets, so the cache keeps the list of
+ * sets allocated into since the last reset: reset() and copy
+ * assignment cost the dirty sets, not the whole line array.  Every
+ * set not on the list holds only default (invalid, tag 0, lru 0)
+ * lines.
+ */
 class Cache
 {
   public:
     explicit Cache(const obs::CacheGeometry &geom = {});
+
+    Cache(const Cache &) = default;
+    Cache(Cache &&) = default;
+    Cache &operator=(Cache &&) = default;
+    /** Same geometry: resets, then copies only `other`'s dirty sets. */
+    Cache &operator=(const Cache &other);
 
     /** Invalidate every line (the platform clears before each run). */
     void reset();
@@ -46,8 +60,22 @@ class Cache
     /** Invalidate the line containing addr if present. */
     void flushLine(std::uint64_t addr);
 
+    /**
+     * Write the snapshot of sets [lo_set, hi_set] inclusive into
+     * `out`, reusing its storage: after the first call with a range,
+     * later calls with the same range do not allocate.
+     */
+    void snapshot(std::uint64_t lo_set, std::uint64_t hi_set,
+                  CacheState &out) const;
+
     /** @return snapshot of sets [lo_set, hi_set] inclusive. */
-    CacheState snapshot(std::uint64_t lo_set, std::uint64_t hi_set) const;
+    CacheState
+    snapshot(std::uint64_t lo_set, std::uint64_t hi_set) const
+    {
+        CacheState state;
+        snapshot(lo_set, hi_set, state);
+        return state;
+    }
 
     /** @return snapshot of the whole cache. */
     CacheState snapshot() const { return snapshot(0, geom.numSets - 1); }
@@ -74,11 +102,24 @@ class Cache
         return lines[set * geom.ways + way];
     }
 
+    /** Put `set` on the dirty list (first allocation since reset). */
+    void markDirty(std::uint64_t set)
+    {
+        if (!dirty[set]) {
+            dirty[set] = 1;
+            dirtySets.push_back(static_cast<std::uint32_t>(set));
+        }
+    }
+
     obs::CacheGeometry geom;
     /** Flat set-major line array: index `set * ways + way`.  A single
      * contiguous allocation instead of one vector per set — the hot
      * access() scan walks `ways` adjacent elements. */
     std::vector<Line> lines;
+    /** Per set: 1 iff it is on `dirtySets`. */
+    std::vector<std::uint8_t> dirty;
+    /** Sets allocated into since the last reset, first touch first. */
+    std::vector<std::uint32_t> dirtySets;
     std::uint64_t lruClock = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;

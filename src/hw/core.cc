@@ -89,12 +89,11 @@ Core::speculate(const bir::Program &program, int wrong_pc,
         ++step;
 
         auto ready = [&](const Instr &i) {
-            if (cfg.forwardTransientResults)
-                return true;
-            for (bir::Reg r : i.sourceRegs())
-                if (transient_written[r])
-                    return false;
-            return true;
+            bool ok = true;
+            if (!cfg.forwardTransientResults)
+                i.forEachSourceReg(
+                    [&](bir::Reg r) { ok &= !transient_written[r]; });
+            return ok;
         };
         const std::uint64_t op2 =
             ins.useImm ? ins.imm : shadow[ins.rm];
@@ -153,6 +152,13 @@ Core::run(const bir::Program &program, const ArchState &init,
           RunResult &out)
 {
     SCAMV_ASSERT(program.validate().empty(), "core: invalid program");
+    execute(program, init, out);
+}
+
+void
+Core::execute(const bir::Program &program, const ArchState &init,
+              RunResult &out)
+{
     out.reset();
     RunResult &result = out;
     const std::uint64_t cache_hits0 = dcache.hits();
@@ -245,30 +251,26 @@ Core::run(const bir::Program &program, const ArchState &init,
 
     // Flush this run's microarchitectural activity into the current
     // metrics registry (per-program inside a pipeline task, global
-    // otherwise).  One batch per run keeps the per-access paths free
-    // of registry lookups.
-    metrics::Registry &reg = metrics::current();
-    reg.counter("hw.runs").inc();
-    reg.counter("hw.instructions").add(result.instructions);
-    reg.counter("hw.cycles").add(result.cycles);
-    reg.counter("hw.cache.hits").add(dcache.hits() - cache_hits0);
-    reg.counter("hw.cache.misses").add(dcache.misses() - cache_misses0);
-    reg.counter("hw.prefetch.issued").add(result.prefetches);
-    reg.counter("hw.branch.mispredicts").add(result.mispredicts);
-    reg.counter("hw.tlb.misses").add(result.tlbMisses);
-    reg.counter("hw.transient_loads.issued")
-        .add(result.transientLoadsIssued);
-    reg.counter("hw.transient_loads.blocked")
-        .add(result.transientLoadsBlocked);
+    // otherwise).  One batch per run through pre-resolved handles
+    // keeps both the per-access paths and the per-run flush free of
+    // registry lookups.
+    counters[kRuns].inc();
+    counters[kInstructions].add(result.instructions);
+    counters[kCycles].add(result.cycles);
+    counters[kCacheHits].add(dcache.hits() - cache_hits0);
+    counters[kCacheMisses].add(dcache.misses() - cache_misses0);
+    counters[kPrefetches].add(result.prefetches);
+    counters[kMispredicts].add(result.mispredicts);
+    counters[kTlbMisses].add(result.tlbMisses);
+    counters[kTransientIssued].add(result.transientLoadsIssued);
+    counters[kTransientBlocked].add(result.transientLoadsBlocked);
 }
 
 std::uint64_t
 Core::timedLoad(std::uint64_t addr)
 {
     const bool hit = dcache.access(addr);
-    metrics::current()
-        .counter(hit ? "hw.probe.hits" : "hw.probe.misses")
-        .inc();
+    counters[hit ? kProbeHits : kProbeMisses].inc();
     std::uint64_t latency = hit ? cfg.hitLatency : cfg.missLatency;
     // Injected probe jitter: a DRAM-refresh-style latency spike on
     // top of whatever the cache state dictates.

@@ -39,6 +39,11 @@
 #include "hw/predictor.hh"
 #include "hw/prefetcher.hh"
 #include "hw/tlb.hh"
+#include "support/metrics.hh"
+
+namespace scamv::harness {
+class Platform;
+} // namespace scamv::harness
 
 namespace scamv::hw {
 
@@ -125,7 +130,8 @@ class Core
     /**
      * Allocation-free variant: resets `out` (keeping its trace
      * capacity) and runs into it.  Behaviourally identical to the
-     * returning overload.
+     * returning overload.  Both panic on a program that fails
+     * bir::Program::validate().
      */
     void run(const bir::Program &program, const ArchState &init,
              RunResult &out);
@@ -156,6 +162,14 @@ class Core
     const CoreConfig &config() const { return cfg; }
 
   private:
+    /** The platform validates a program once per experiment and then
+     *  runs it many times through execute(). */
+    friend class harness::Platform;
+
+    /** run() on a program the caller has validated. */
+    void execute(const bir::Program &program, const ArchState &init,
+                 RunResult &out);
+
     /** Transiently execute the wrong path starting at wrong_pc. */
     void speculate(const bir::Program &program, int wrong_pc,
                    const std::array<std::uint64_t, bir::kNumRegs> &regs,
@@ -171,6 +185,19 @@ class Core
     StridePrefetcher pf;
     BranchPredictor bpred;
     Memory mem;
+    /** Slots of `counters`. */
+    enum HwCounter : std::size_t {
+        kRuns, kInstructions, kCycles, kCacheHits, kCacheMisses,
+        kPrefetches, kMispredicts, kTlbMisses, kTransientIssued,
+        kTransientBlocked, kProbeHits, kProbeMisses, kNumHwCounters
+    };
+    /** The hw.* counters of metrics::current(). */
+    metrics::CounterHandles<kNumHwCounters> counters{{
+        "hw.runs", "hw.instructions", "hw.cycles", "hw.cache.hits",
+        "hw.cache.misses", "hw.prefetch.issued",
+        "hw.branch.mispredicts", "hw.tlb.misses",
+        "hw.transient_loads.issued", "hw.transient_loads.blocked",
+        "hw.probe.hits", "hw.probe.misses"}};
 };
 
 } // namespace scamv::hw

@@ -13,11 +13,18 @@
 #define SCAMV_HW_MEMORY_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace scamv::hw {
 
-/** Word-addressed (8-byte) sparse memory. */
+/**
+ * Word-addressed (8-byte) sparse memory.
+ *
+ * Written words live in a flat array indexed by an open-addressing
+ * table, and clear() empties both in the number of written words
+ * while keeping their storage: the platform clears and refills the
+ * memory several times per experiment without allocating.
+ */
 class Memory
 {
   public:
@@ -26,7 +33,7 @@ class Memory
     {}
 
     /** Remove all explicit writes (junk fill persists). */
-    void clear() { words.clear(); }
+    void clear();
 
     /** @return the word containing addr (addr rounded down to 8). */
     std::uint64_t load(std::uint64_t addr) const;
@@ -37,14 +44,30 @@ class Memory
     /** @return true iff the cell was explicitly written. */
     bool written(std::uint64_t addr) const
     {
-        return words.count(addr & ~7ULL) != 0;
+        return find(addr & ~7ULL) != kNone;
     }
 
   private:
+    struct Word {
+        std::uint64_t key;   ///< word address (multiple of 8)
+        std::uint64_t value;
+        std::uint32_t slot;  ///< its position in `slots`
+    };
+
+    static constexpr std::uint32_t kNone = ~0U;
+
     std::uint64_t junk(std::uint64_t addr) const;
+    /** @return the index in `words` of word address key, or kNone. */
+    std::uint32_t find(std::uint64_t key) const;
+    /** Double the index table and re-insert every word. */
+    void grow();
 
     std::uint64_t boardSeed;
-    std::unordered_map<std::uint64_t, std::uint64_t> words;
+    /** Written words, in first-write order. */
+    std::vector<Word> words;
+    /** Power-of-two table of indexes into `words` (kNone = empty),
+     *  kept at most half full; linear probing. */
+    std::vector<std::uint32_t> slots;
 };
 
 } // namespace scamv::hw

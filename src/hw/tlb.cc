@@ -58,15 +58,14 @@ Tlb::probe(std::uint64_t addr) const
     return false;
 }
 
-TlbState
-Tlb::snapshot() const
+void
+Tlb::snapshot(TlbState &out) const
 {
-    TlbState vpns;
+    out.clear();
     for (const Entry &e : table)
         if (e.valid)
-            vpns.push_back(e.vpn);
-    std::sort(vpns.begin(), vpns.end());
-    return vpns;
+            out.push_back(e.vpn);
+    std::sort(out.begin(), out.end());
 }
 
 } // namespace scamv::hw

@@ -49,8 +49,18 @@ class Tlb
     /** Presence check without LRU update or fill. */
     bool probe(std::uint64_t addr) const;
 
+    /** Write the sorted resident page numbers into `out`, reusing
+     *  its storage. */
+    void snapshot(TlbState &out) const;
+
     /** @return sorted resident page numbers. */
-    TlbState snapshot() const;
+    TlbState
+    snapshot() const
+    {
+        TlbState vpns;
+        snapshot(vpns);
+        return vpns;
+    }
 
     std::uint64_t hits() const { return nHits; }
     std::uint64_t misses() const { return nMisses; }

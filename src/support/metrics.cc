@@ -103,7 +103,21 @@ latencyBounds()
     return bounds;
 }
 
-Registry::Registry(ClockMode clock_mode) : mode(clock_mode) {}
+namespace {
+
+/** Next registry epoch; 0 is never handed out. */
+std::uint64_t
+nextEpoch()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+} // namespace
+
+Registry::Registry(ClockMode clock_mode)
+    : mode(clock_mode), epoch_(nextEpoch())
+{}
 
 Counter &
 Registry::counter(std::string_view name)
@@ -203,6 +217,7 @@ Registry::reset()
     gauges.clear();
     histograms.clear();
     ticks.store(0, std::memory_order_relaxed);
+    epoch_.store(nextEpoch(), std::memory_order_relaxed);
 }
 
 Registry &

@@ -38,6 +38,7 @@
 #ifndef SCAMV_SUPPORT_METRICS_HH
 #define SCAMV_SUPPORT_METRICS_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -217,10 +218,22 @@ class Registry
      * Drop every metric.  Outstanding Counter/Gauge/Histogram
      * references become dangling — only use on registries with no
      * concurrent users (e.g. the global registry between tests).
+     * Gives the registry a fresh epoch, so CounterHandles re-resolve.
      */
     void reset();
 
     ClockMode clockMode() const { return mode; }
+
+    /**
+     * Process-unique identity of this registry's current metric set:
+     * drawn at construction and again by reset(), never reused.  A
+     * registry built in the stack slot of a destroyed one therefore
+     * has a different epoch even at the same address.
+     */
+    std::uint64_t epoch() const
+    {
+        return epoch_.load(std::memory_order_relaxed);
+    }
 
     /** The process-wide default registry. */
     static Registry &global();
@@ -248,6 +261,7 @@ class Registry
 
     mutable std::mutex m;
     ClockMode mode;
+    std::atomic<std::uint64_t> epoch_;
     std::atomic<std::uint64_t> ticks{0};
     Map<Counter> counters;
     Map<Gauge> gauges;
@@ -262,6 +276,43 @@ class Registry
  * everywhere else.
  */
 Registry &current();
+
+/**
+ * Counters of `current()` resolved once per registry instead of once
+ * per increment: slot i names counter `names[i]`, created in the
+ * registry on its first use (exactly when a by-name lookup would
+ * create it) and cached until `current()` has a different epoch —
+ * another registry, or the same one after reset().  Not thread-safe:
+ * one owner (a core, a platform) uses it from one thread at a time.
+ */
+template <std::size_t N>
+class CounterHandles
+{
+  public:
+    explicit constexpr CounterHandles(
+        const std::array<std::string_view, N> &names)
+        : names(names)
+    {}
+
+    /** @return counter `i` of the calling thread's `current()`. */
+    Counter &
+    operator[](std::size_t i)
+    {
+        Registry &reg = current();
+        if (reg.epoch() != epoch) {
+            slots.fill(nullptr);
+            epoch = reg.epoch();
+        }
+        if (!slots[i])
+            slots[i] = &reg.counter(names[i]);
+        return *slots[i];
+    }
+
+  private:
+    std::array<std::string_view, N> names;
+    std::array<Counter *, N> slots{};
+    std::uint64_t epoch = 0; ///< 0: nothing resolved (epochs start at 1)
+};
 
 /** Install a registry as the calling thread's `current()` (RAII). */
 class ScopedRegistry

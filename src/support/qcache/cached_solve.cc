@@ -49,20 +49,20 @@ injectedUnknown()
  * evaluation of `formula` (corrupt or stale, possible with a damaged
  * persistence file) is dropped instead.  @return the replayed entry.
  */
-std::optional<Entry>
+std::shared_ptr<const Entry>
 replay(QueryCache &cache, const Key &key, const CanonForm &form,
        Expr formula, double tg0, SolveResult &r)
 {
     metrics::Registry &g = metrics::Registry::global();
     auto hit = cache.lookup(key, form.fingerprint);
     if (!hit)
-        return std::nullopt;
+        return nullptr;
     if (hit->sat) {
         expr::Assignment model = toOriginal(form, hit->model);
         if (!expr::evalBool(formula, model)) {
             g.counter("qcache.validation_dropped").inc();
             cache.dropInvalid(key);
-            return std::nullopt;
+            return nullptr;
         }
         r.model = std::move(model);
     }

@@ -357,8 +357,11 @@ QueryCache::loadFile()
                 }
                 if (index.count(rec->first))
                     continue; // keep-first on duplicate keys
-                Slot slot{rec->first, std::move(rec->second), 0};
-                slot.bytes = entryBytes(slot.entry);
+                Slot slot{rec->first,
+                          std::make_shared<const Entry>(
+                              std::move(rec->second)),
+                          0};
+                slot.bytes = entryBytes(*slot.entry);
                 lru.push_front(std::move(slot));
                 index.emplace(lru.front().key, lru.begin());
                 bytes_ += lru.front().bytes;
@@ -389,7 +392,7 @@ QueryCache::appendRecord(const Key &key, const Entry &entry)
     append_ << line << "\n" << std::flush;
 }
 
-std::optional<Entry>
+std::shared_ptr<const Entry>
 QueryCache::lookup(const Key &key, std::uint64_t fingerprint)
 {
     metrics::Registry &g = metrics::Registry::global();
@@ -397,15 +400,15 @@ QueryCache::lookup(const Key &key, std::uint64_t fingerprint)
     auto it = index.find(key);
     if (it == index.end()) {
         g.counter("qcache.miss").inc();
-        return std::nullopt;
+        return nullptr;
     }
-    if (it->second->entry.fingerprint != fingerprint) {
+    if (it->second->entry->fingerprint != fingerprint) {
         // Semantic cousin: same canonical class, different operand
         // order.  Treat as a miss so the hit path stays an exact
         // replay (see file comment in qcache.hh).
         g.counter("qcache.fp_conflict").inc();
         g.counter("qcache.miss").inc();
-        return std::nullopt;
+        return nullptr;
     }
     lru.splice(lru.begin(), lru, it->second);
     g.counter("qcache.hit").inc();
@@ -419,14 +422,14 @@ QueryCache::store(const Key &key, Entry entry)
     std::lock_guard<std::mutex> lock(m);
     if (index.count(key))
         return; // keep-first: determinism makes duplicates identical
-    Slot slot{key, std::move(entry), 0};
-    slot.bytes = entryBytes(slot.entry);
+    Slot slot{key, std::make_shared<const Entry>(std::move(entry)), 0};
+    slot.bytes = entryBytes(*slot.entry);
     lru.push_front(std::move(slot));
     index.emplace(key, lru.begin());
     bytes_ += lru.front().bytes;
     g.counter("qcache.store").inc();
     if (append_.is_open())
-        appendRecord(key, lru.front().entry);
+        appendRecord(key, *lru.front().entry);
     evictToFit();
 }
 

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <fstream>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -98,14 +99,16 @@ class QueryCache
     QueryCache &operator=(const QueryCache &) = delete;
 
     /**
-     * Fingerprint-gated lookup.  @return a copy of the entry when the
+     * Fingerprint-gated lookup.  @return the stored entry when the
      * key is present *and* its stored fingerprint equals
-     * `fingerprint`; nullopt otherwise.  Counts qcache.hit /
-     * qcache.miss / qcache.fp_conflict in the global registry and
-     * refreshes the entry's LRU position on a hit.
+     * `fingerprint`; nullptr otherwise.  Entries are immutable once
+     * stored, so the hit shares the cache's copy and stays valid
+     * after an eviction.  Counts qcache.hit / qcache.miss /
+     * qcache.fp_conflict in the global registry and refreshes the
+     * entry's LRU position on a hit.
      */
-    std::optional<Entry> lookup(const Key &key,
-                                std::uint64_t fingerprint);
+    std::shared_ptr<const Entry> lookup(const Key &key,
+                                        std::uint64_t fingerprint);
 
     /**
      * Insert an entry (keep-first: an existing key is not replaced —
@@ -152,7 +155,7 @@ class QueryCache
   private:
     struct Slot {
         Key key;
-        Entry entry;
+        std::shared_ptr<const Entry> entry;
         std::size_t bytes = 0;
     };
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <unordered_map>
+#include <vector>
+
 #include "expr/eval.hh"
+#include "support/rng.hh"
 
 namespace scamv::expr {
 namespace {
@@ -151,6 +158,245 @@ TEST_F(EvalTest, NestedReadAddress)
     a.mems["m"].storeWord(0x80, 1234);
     Expr inner = ctx.read(m, ctx.bvVar("a"));
     EXPECT_EQ(evalBv(ctx.read(m, inner), a), 1234u);
+}
+
+// ---- Differential test against a memo-free reference ---------------
+
+/**
+ * Reference semantics: plain recursion over the DAG, no memo, no
+ * shared state, so shared subterms are simply re-evaluated.  Shifts
+ * take their amount mod 64; a read walks its store chain and falls
+ * back to the memory variable's word (0 for an unbound memory).
+ */
+std::uint64_t refEval(Expr e, const Assignment &a);
+
+std::uint64_t
+refRead(Expr mem, std::uint64_t addr, const Assignment &a)
+{
+    if (mem->kind == Kind::Store)
+        return refEval(mem->kids[1], a) == addr
+                   ? refEval(mem->kids[2], a)
+                   : refRead(mem->kids[0], addr, a);
+    auto it = a.mems.find(mem->name);
+    return it == a.mems.end() ? 0 : it->second.load(addr);
+}
+
+std::uint64_t
+refEval(Expr e, const Assignment &a)
+{
+    auto k = [&](int i) { return refEval(e->kids[i], a); };
+    auto sk = [&](int i) { return static_cast<std::int64_t>(k(i)); };
+    switch (e->kind) {
+      case Kind::BvConst:
+      case Kind::BoolConst: return e->value;
+      case Kind::BvVar: return a.bv(e->name);
+      case Kind::BoolVar: {
+        auto it = a.boolVars.find(e->name);
+        return it != a.boolVars.end() && it->second;
+      }
+      case Kind::Add: return k(0) + k(1);
+      case Kind::Sub: return k(0) - k(1);
+      case Kind::Mul: return k(0) * k(1);
+      case Kind::BvAnd: return k(0) & k(1);
+      case Kind::BvOr: return k(0) | k(1);
+      case Kind::BvXor: return k(0) ^ k(1);
+      case Kind::BvNot: return ~k(0);
+      case Kind::Neg: return 0 - k(0);
+      case Kind::Shl: return k(0) << (k(1) % 64);
+      case Kind::Lshr: return k(0) >> (k(1) % 64);
+      case Kind::Ashr:
+        return static_cast<std::uint64_t>(sk(0) >> (k(1) % 64));
+      case Kind::Ite: return k(0) ? k(1) : k(2);
+      case Kind::Read: return refRead(e->kids[0], k(1), a);
+      case Kind::Eq: return k(0) == k(1);
+      case Kind::Ult: return k(0) < k(1);
+      case Kind::Ule: return k(0) <= k(1);
+      case Kind::Slt: return sk(0) < sk(1);
+      case Kind::Sle: return sk(0) <= sk(1);
+      case Kind::And: return k(0) && k(1);
+      case Kind::Or: return k(0) || k(1);
+      case Kind::Not: return !k(0);
+      case Kind::Implies: return !k(0) || k(1);
+      case Kind::MemVar:
+      case Kind::Store: break;
+    }
+    ADD_FAILURE() << "reference cannot evaluate " << kindName(e->kind);
+    return 0;
+}
+
+/**
+ * A random DAG over five bv variables, two bool variables and one
+ * memory: every new node takes its operands from the nodes built so
+ * far, so subterms are shared, and depth is capped so the memo-free
+ * reference stays cheap.  Addresses and shift amounts come from the
+ * same pool as everything else, so stores alias reads dynamically
+ * and shifts see amounts of 64 and more.
+ */
+struct RandomDag {
+    std::vector<Expr> bvs, bools, mems;
+
+    RandomDag(ExprContext &ctx, std::uint64_t seed)
+    {
+        Rng rng(seed);
+        for (int i = 0; i < 5; ++i)
+            add(bvs, ctx.bvVar("x" + std::to_string(i)), 0);
+        for (std::uint64_t c : {0ULL, 8ULL, 63ULL, 64ULL, 65ULL, 127ULL,
+                                0x8000000000000000ULL})
+            add(bvs, ctx.bv(c), 0);
+        add(bools, ctx.boolVar("p"), 0);
+        add(bools, ctx.boolVar("q"), 0);
+        add(mems, ctx.memVar("m"), 0);
+
+        for (int n = 0; n < 80; ++n) {
+            Expr a = pick(rng, bvs), b = pick(rng, bvs);
+            Expr c = pick(rng, bools), d = pick(rng, bools);
+            Expr m = pick(rng, mems);
+            const int dep =
+                1 + std::max({depth[a], depth[b], depth[c], depth[d],
+                              depth[m]});
+            switch (rng.below(22)) {
+              case 0: add(bvs, ctx.add(a, b), dep); break;
+              case 1: add(bvs, ctx.sub(a, b), dep); break;
+              case 2: add(bvs, ctx.mul(a, b), dep); break;
+              case 3: add(bvs, ctx.bvAnd(a, b), dep); break;
+              case 4: add(bvs, ctx.bvOr(a, b), dep); break;
+              case 5: add(bvs, ctx.bvXor(a, b), dep); break;
+              case 6: add(bvs, ctx.bvNot(a), dep); break;
+              case 7: add(bvs, ctx.neg(a), dep); break;
+              case 8: add(bvs, ctx.shl(a, b), dep); break;
+              case 9: add(bvs, ctx.lshr(a, b), dep); break;
+              case 10: add(bvs, ctx.ashr(a, b), dep); break;
+              case 11: add(bvs, ctx.ite(c, a, b), dep); break;
+              case 12: add(bvs, ctx.read(m, a), dep); break;
+              case 13: add(mems, ctx.store(m, a, b), dep); break;
+              case 14: add(bools, ctx.eq(a, b), dep); break;
+              case 15: add(bools, ctx.ult(a, b), dep); break;
+              case 16: add(bools, ctx.slt(a, b), dep); break;
+              case 17: add(bools, ctx.sle(a, b), dep); break;
+              case 18: add(bools, ctx.land(c, d), dep); break;
+              case 19: add(bools, ctx.lor(c, d), dep); break;
+              case 20: add(bools, ctx.lnot(c), dep); break;
+              default: add(bools, ctx.implies(c, d), dep); break;
+            }
+        }
+    }
+
+  private:
+    static constexpr int kMaxDepth = 6;
+    std::unordered_map<Expr, int> depth;
+
+    void
+    add(std::vector<Expr> &pool, Expr e, int dep)
+    {
+        if (depth.count(e) || dep > kMaxDepth)
+            return; // folded to an existing node, or too deep
+        depth[e] = dep;
+        pool.push_back(e);
+    }
+
+    Expr
+    pick(Rng &rng, const std::vector<Expr> &pool)
+    {
+        // Favour recent nodes so chains grow deep and share.
+        const std::size_t n = pool.size();
+        if (rng.chance(0.5))
+            return pool[n - 1 - rng.below(std::min<std::size_t>(n, 6))];
+        return pool[rng.below(n)];
+    }
+};
+
+/** An assignment whose values often coincide, so stores alias reads
+ *  and comparisons go both ways. */
+Assignment
+randomAssignment(Rng &rng)
+{
+    const std::uint64_t common[] = {0, 8, 16, 64, 0x8000000000000000ULL,
+                                    ~0ULL};
+    auto value = [&] {
+        return rng.chance(0.7) ? common[rng.below(6)] : rng.next();
+    };
+    Assignment a;
+    for (int i = 0; i < 5; ++i)
+        if (rng.chance(0.9))
+            a.bvVars["x" + std::to_string(i)] = value();
+    a.boolVars["p"] = rng.chance(0.5);
+    if (rng.chance(0.5))
+        a.boolVars["q"] = rng.chance(0.5);
+    if (rng.chance(0.8)) {
+        ConcreteMemory &m = a.mems["m"];
+        m.defaultValue = rng.chance(0.5) ? 0 : value();
+        for (int i = 0; i < 4; ++i)
+            m.storeWord(common[rng.below(6)], value());
+    }
+    return a;
+}
+
+/** @return the number of nodes of `dag` whose value under `a`
+ *  differs from the reference. */
+int
+mismatches(const RandomDag &dag, const Assignment &a)
+{
+    int bad = 0;
+    for (Expr e : dag.bvs)
+        bad += evalBv(e, a) != refEval(e, a);
+    for (Expr e : dag.bools)
+        bad += evalBool(e, a) != (refEval(e, a) != 0);
+    return bad;
+}
+
+TEST(EvalDifferential, RandomDagsMatchMemoFreeReference)
+{
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        ExprContext ctx;
+        const RandomDag dag(ctx, seed);
+        Rng rng(seed * 7919);
+        for (int i = 0; i < 20; ++i)
+            ASSERT_EQ(mismatches(dag, randomAssignment(rng)), 0)
+                << "seed " << seed << " assignment " << i;
+    }
+}
+
+TEST(EvalDifferential, InterleavedContextsDoNotShareValues)
+{
+    // Same seed: the two contexts hold the same shapes under the same
+    // node ids, at different addresses, evaluated alternately under
+    // different assignments.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        ExprContext c1, c2;
+        const RandomDag d1(c1, seed), d2(c2, seed);
+        ASSERT_EQ(d1.bools.size(), d2.bools.size());
+        Rng rng(seed);
+        for (int i = 0; i < 10; ++i) {
+            const Assignment a1 = randomAssignment(rng);
+            const Assignment a2 = randomAssignment(rng);
+            for (std::size_t k = 0; k < d1.bools.size(); ++k) {
+                ASSERT_EQ(evalBool(d1.bools[k], a1),
+                          refEval(d1.bools[k], a1) != 0);
+                ASSERT_EQ(evalBool(d2.bools[k], a2),
+                          refEval(d2.bools[k], a2) != 0);
+            }
+            ASSERT_EQ(mismatches(d1, a2), 0) << "seed " << seed;
+            ASSERT_EQ(mismatches(d2, a1), 0) << "seed " << seed;
+        }
+    }
+}
+
+TEST(EvalDifferential, ConcurrentThreadsEvaluateIndependently)
+{
+    std::atomic<int> bad{0};
+    auto work = [&bad](std::uint64_t base) {
+        for (std::uint64_t seed = base; seed < base + 15; ++seed) {
+            ExprContext ctx;
+            const RandomDag dag(ctx, seed);
+            Rng rng(seed);
+            for (int i = 0; i < 10; ++i)
+                bad += mismatches(dag, randomAssignment(rng));
+        }
+    };
+    std::thread t1(work, 100), t2(work, 200);
+    t1.join();
+    t2.join();
+    EXPECT_EQ(bad.load(), 0);
 }
 
 } // namespace

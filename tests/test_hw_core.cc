@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bir/asm.hh"
+#include "harness/platform.hh"
 #include "hw/core.hh"
+#include "support/metrics.hh"
 
 namespace scamv::hw {
 namespace {
@@ -323,6 +327,97 @@ TEST(Core, LoadsTrainThePrefetcher)
     auto r = core.run(p, state({{0, 0x80000}}));
     EXPECT_EQ(r.prefetches, 1u);
     EXPECT_TRUE(core.cache().probe(0x80000 + 192));
+}
+
+// ---- Counter handles and validation ---------------------------------
+
+std::uint64_t
+runs(const metrics::Registry &reg)
+{
+    const auto snap = reg.snapshot();
+    auto it = snap.counters.find("hw.runs");
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(CoreCounters, RegistryReplacedInTheSameSlotGetsItsOwnCounts)
+{
+    // One storage slot, three registries: the core's cached counter
+    // handles must follow the live one, never write to a destroyed
+    // one (ASan builds catch a dangling handle here).
+    Core core;
+    const bir::Program p = prog("ldr x1, [x0]\nret\n");
+    std::optional<metrics::Registry> slot;
+    for (std::uint64_t round = 1; round <= 3; ++round) {
+        slot.emplace();
+        {
+            metrics::ScopedRegistry scope(*slot);
+            for (std::uint64_t i = 0; i < round; ++i)
+                core.run(p, state({{0, 0x80000}}));
+        }
+        EXPECT_EQ(runs(*slot), round);
+        EXPECT_EQ(slot->snapshot().counters.at("hw.instructions"),
+                  2 * round);
+        slot.reset();
+    }
+}
+
+TEST(CoreCounters, RegistryResetDropsCachedHandles)
+{
+    Core core;
+    const bir::Program p = prog("ldr x1, [x0]\nret\n");
+    metrics::Registry reg;
+    metrics::ScopedRegistry scope(reg);
+    core.run(p, state({{0, 0x80000}}));
+    const std::uint64_t epoch = reg.epoch();
+    reg.reset();
+    EXPECT_NE(reg.epoch(), epoch);
+    core.run(p, state({{0, 0x80000}}));
+    core.run(p, state({{0, 0x80000}}));
+    EXPECT_EQ(runs(reg), 2u);
+}
+
+TEST(CoreCounters, NestedScopesCountIntoTheInnermost)
+{
+    Core core;
+    const bir::Program p = prog("ret\n");
+    metrics::Registry outer, inner;
+    metrics::ScopedRegistry s1(outer);
+    core.run(p, state({}));
+    {
+        metrics::ScopedRegistry s2(inner);
+        core.run(p, state({}));
+        core.run(p, state({}));
+    }
+    core.run(p, state({}));
+    EXPECT_EQ(runs(outer), 2u);
+    EXPECT_EQ(runs(inner), 2u);
+}
+
+/** A program whose second instruction reads register 99. */
+bir::Program
+invalidProgram()
+{
+    bir::Program p;
+    p.push(bir::Instr::movImm(1, 5));
+    p.push(bir::Instr::alu(bir::AluOp::Add, 2, 99, 1));
+    p.push(bir::Instr::halt());
+    return p;
+}
+
+TEST(CoreValidationDeathTest, EveryEntryPointRejectsAnInvalidProgram)
+{
+    const bir::Program bad = invalidProgram();
+    ASSERT_EQ(bad.validate(), "instr 1: source register out of range");
+    Core core;
+    EXPECT_DEATH(core.run(bad, state({})), "invalid program");
+    harness::Platform platform(harness::PlatformConfig{});
+    harness::TestCase tc;
+    EXPECT_DEATH(platform.runExperiment(bad, tc), "invalid program");
+    EXPECT_DEATH(platform.measureOnce(bad, tc.s1), "invalid program");
+    harness::PlatformConfig probing;
+    probing.channel = harness::Channel::PrimeProbe;
+    harness::Platform prober(probing);
+    EXPECT_DEATH(prober.probeOnce(bad, tc.s1), "invalid program");
 }
 
 } // namespace

@@ -446,7 +446,7 @@ TEST(LineCodecFuzz, MutatedQcacheRecordsLoadWholeOrNotAtAll)
             const auto rec = qcache::decodeRecord(line);
             ASSERT_TRUE(rec.has_value());
             const auto hit = cache.lookup(key, rec->second.fingerprint);
-            ASSERT_TRUE(hit.has_value()) << "iter " << iter;
+            ASSERT_NE(hit, nullptr) << "iter " << iter;
             EXPECT_EQ(qcache::encodeRecord(key, *hit), line)
                 << "iter " << iter;
         }

@@ -283,6 +283,129 @@ TEST(Pipeline, SymmetrizeModelPreservesRequiredDifferences)
     EXPECT_EQ(model.mems["mem_2"].load(0x100), 5u);
 }
 
+/**
+ * The copying symmetrization the in-place one replaces: every merge
+ * attempt edits a whole copy of the model and keeps it only when the
+ * formula still holds.
+ */
+void
+copyingSymmetrize(expr::Expr formula, const bir::Program &program,
+                  expr::Assignment &model, Rng &rng, double bias)
+{
+    auto try_merge = [&](auto mutate) {
+        if (!rng.chance(bias))
+            return;
+        expr::Assignment candidate = model;
+        mutate(candidate);
+        if (expr::evalBool(formula, candidate))
+            model = std::move(candidate);
+    };
+    auto x = [](bir::Reg r, const char *suffix) {
+        return "x" + std::to_string(r) + suffix;
+    };
+    try_merge([&](expr::Assignment &c) {
+        for (bir::Reg r : program.usedRegs())
+            c.bvVars[x(r, "_2")] = c.bv(x(r, "_1"));
+        if (auto m1 = c.mems.find("mem_1"); m1 != c.mems.end()) {
+            auto cells = m1->second.entries();
+            for (const auto &[addr, val] : cells)
+                c.mems["mem_2"].storeWord(addr, val);
+        }
+    });
+    for (bir::Reg r : program.usedRegs()) {
+        if (model.bv(x(r, "_1")) == model.bv(x(r, "_2")))
+            continue;
+        try_merge([&](expr::Assignment &c) {
+            c.bvVars[x(r, "_2")] = c.bv(x(r, "_1"));
+        });
+    }
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> mem1_cells;
+    if (auto m1 = model.mems.find("mem_1"); m1 != model.mems.end())
+        for (const auto &[addr, val] : m1->second.entries())
+            mem1_cells.emplace_back(addr, val);
+    for (const auto &[a, v] : mem1_cells) {
+        auto m2 = model.mems.find("mem_2");
+        if (m2 != model.mems.end() && m2->second.contains(a) &&
+            m2->second.load(a) == v)
+            continue;
+        try_merge([&](expr::Assignment &c) {
+            c.mems["mem_2"].storeWord(a, v);
+        });
+    }
+}
+
+/** Every map of the model in iteration order, values included. */
+std::string
+layout(const expr::Assignment &a)
+{
+    std::string out;
+    for (const auto &[name, v] : a.bvVars)
+        out += name + "=" + std::to_string(v) + " ";
+    out += "|";
+    for (const auto &[name, mem] : a.mems) {
+        out += " " + name + ":";
+        for (const auto &[addr, v] : mem.entries())
+            out += " " + std::to_string(addr) + "=" + std::to_string(v);
+    }
+    return out;
+}
+
+TEST(Pipeline, SymmetrizeModelMatchesCopyingReference)
+{
+    // Random relations over five registers and both memories, and
+    // random models whose s2 maps sit at and around their rehash
+    // points, so rejected merges must undo inserts that rehashed.
+    const bir::Program prog =
+        bir::assemble("ldr x1, [x0]\nldr x2, [x1]\nstr x3, [x4]\nret\n")
+            .program;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        expr::ExprContext ctx;
+        Rng gen(seed);
+        auto reg = [&](int state) {
+            return ctx.bvVar("x" + std::to_string(gen.below(5)) + "_" +
+                             std::to_string(state));
+        };
+        auto word = [&](int state) {
+            return ctx.read(ctx.memVar("mem_" + std::to_string(state)),
+                            ctx.bv(8 * gen.below(40)));
+        };
+        std::vector<expr::Expr> conj;
+        for (int i = 0, n = 1 + static_cast<int>(gen.below(3)); i < n; ++i) {
+            switch (gen.below(4)) {
+              case 0: conj.push_back(ctx.eq(reg(1), reg(2))); break;
+              case 1: conj.push_back(ctx.neq(reg(1), reg(2))); break;
+              case 2: conj.push_back(ctx.neq(word(1), word(2))); break;
+              default: conj.push_back(ctx.ult(reg(2), ctx.bv(50))); break;
+            }
+        }
+        const expr::Expr f = ctx.conj(conj);
+
+        expr::Assignment model;
+        for (int r = 0; r < 5; ++r) {
+            for (const char *sfx : {"_1", "_2"})
+                if (gen.chance(0.7))
+                    model.bvVars["x" + std::to_string(r) + sfx] =
+                        gen.below(100);
+        }
+        for (int state = 1; state <= 2; ++state) {
+            if (gen.chance(0.2))
+                continue;
+            auto &mem = model.mems["mem_" + std::to_string(state)];
+            const std::uint64_t words = gen.below(40);
+            for (std::uint64_t w = 0; w < words; ++w)
+                mem.storeWord(8 * gen.below(40), gen.below(3));
+        }
+
+        const double bias = gen.chance(0.2) ? 0.5 : 1.0;
+        expr::Assignment expect = model;
+        Rng rng_expect(seed), rng(seed);
+        copyingSymmetrize(f, prog, expect, rng_expect, bias);
+        symmetrizeModel(f, prog, model, rng, bias);
+        ASSERT_EQ(layout(model), layout(expect)) << "seed " << seed;
+        ASSERT_EQ(rng.next(), rng_expect.next()) << "seed " << seed;
+    }
+}
+
 TEST(Pipeline, SymmetrizeModelZeroBiasIsANoOp)
 {
     expr::ExprContext ctx;

@@ -245,7 +245,7 @@ TEST(Cache, EvictionRespectsByteBoundAndLru)
     EXPECT_LE(cache.totalBytes(), cache.maxBytes());
 
     // Touch {1,1} so {2,2} is the least recently used...
-    EXPECT_TRUE(cache.lookup(Key{1, 1}, 7).has_value());
+    EXPECT_NE(cache.lookup(Key{1, 1}, 7), nullptr);
     const std::uint64_t e0 = globalCounter("qcache.evict");
     cache.store(Key{3, 3}, e);
     // ...and gets evicted to make room.
