@@ -102,19 +102,14 @@ class ModelEdit
     setBv(const std::string &name, std::uint64_t v)
     {
         auto &vars = model.bvVars;
-        auto it = vars.find(name);
-        if (it != vars.end()) {
-            bvLog.push_back({&name, true, it->second});
-            it->second = v;
-            return;
-        }
-        if (!bvBackup && insertMayRehash(vars)) {
+        const auto it = vars.find(name);
+        const bool existed = it != vars.end();
+        if (!existed && !bvBackup && insertMayRehash(vars)) {
             bvBackup = vars;
             revert(*bvBackup, bvLog);
         }
-        if (!bvBackup)
-            bvLog.push_back({&name, false, 0});
-        vars.emplace(name, v);
+        bvLog.push_back({&name, existed, existed ? it->second : 0});
+        vars.insert_or_assign(name, v);
     }
 
     /** model.mems["mem_2"].storeWord(addr, v). */
@@ -129,15 +124,13 @@ class ModelEdit
             createdMem2 = true;
         }
         expr::ConcreteMemory &mem = it->second;
-        if (!createdMem2 && !wordsBackup) {
-            if (mem.contains(addr)) {
-                wordLog.push_back({addr, true, mem.load(addr)});
-            } else if (insertMayRehash(mem.entries())) {
+        if (!createdMem2) {
+            const bool existed = mem.contains(addr);
+            if (!existed && !wordsBackup && insertMayRehash(mem.entries())) {
                 wordsBackup = mem;
                 revert(*wordsBackup, wordLog);
-            } else {
-                wordLog.push_back({addr, false, 0});
             }
+            wordLog.push_back({addr, existed, existed ? mem.load(addr) : 0});
         }
         mem.storeWord(addr, v);
     }
