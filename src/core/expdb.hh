@@ -80,7 +80,8 @@ class ExperimentDb
 
     /**
      * Export the log as CSV (one row per experiment; register values
-     * of both states flattened as hex, memory init as `a=v` lists).
+     * of both states flattened as hex, memory init as `a=v` lists in
+     * the test case's address order).
      * @return success.
      */
     bool exportCsv(const std::string &path) const;

@@ -71,26 +71,14 @@ Pipeline::Pipeline(const PipelineConfig &config) : cfg(config) {}
 
 namespace {
 
-/** @return true when inserting one more key into `m` may rehash it
- *  (the standard keeps iterators valid only up to the load factor). */
-template <class Map>
-bool
-insertMayRehash(const Map &m)
-{
-    return m.bucket_count() <= 1 ||
-           static_cast<double>(m.size() + 1) >
-               m.max_load_factor() * static_cast<double>(m.bucket_count());
-}
-
 /**
- * In-place edits of s2's registers and memory in a model, undone
- * exactly when the edited model fails the formula.  "Exactly"
- * includes every map's iteration order, which the db's s2_mem column
- * follows: an overwrite is undone by writing the old value back and
- * an insert by erasing the key, which restores the node order of a
- * map that did not rehash.  Before the first insert that may rehash
- * a map, the edit saves a copy of the map as it was and restores
- * that instead.
+ * In-place edits of s2's registers and memory in a model, undone when
+ * the edited model fails the formula: an overwrite is undone by
+ * writing the old value back and an insert by erasing the key.  An
+ * undone insert may leave a map in another iteration order, and an
+ * undone store to an absent mem_2 leaves it empty, which reads like
+ * absent.  Nothing depends on either: inputFromAssignment() sorts the
+ * test case's memory by address.
  */
 class ModelEdit
 {
@@ -101,37 +89,17 @@ class ModelEdit
     void
     setBv(const std::string &name, std::uint64_t v)
     {
-        auto &vars = model.bvVars;
-        const auto it = vars.find(name);
-        const bool existed = it != vars.end();
-        if (!existed && !bvBackup && insertMayRehash(vars)) {
-            bvBackup = vars;
-            revert(*bvBackup, bvLog);
-        }
-        bvLog.push_back({&name, existed, existed ? it->second : 0});
-        vars.insert_or_assign(name, v);
+        const auto [it, inserted] = model.bvVars.try_emplace(name);
+        bvLog.push_back({&name, !inserted, it->second});
+        it->second = v;
     }
 
     /** model.mems["mem_2"].storeWord(addr, v). */
     void
     storeMem2(std::uint64_t addr, std::uint64_t v)
     {
-        auto it = model.mems.find(mem2);
-        if (it == model.mems.end()) {
-            if (insertMayRehash(model.mems))
-                memsBackup = model.mems;
-            it = model.mems.try_emplace(mem2).first;
-            createdMem2 = true;
-        }
-        expr::ConcreteMemory &mem = it->second;
-        if (!createdMem2) {
-            const bool existed = mem.contains(addr);
-            if (!existed && !wordsBackup && insertMayRehash(mem.entries())) {
-                wordsBackup = mem;
-                revert(*wordsBackup, wordLog);
-            }
-            wordLog.push_back({addr, existed, existed ? mem.load(addr) : 0});
-        }
+        expr::ConcreteMemory &mem = model.mems[mem2];
+        wordLog.push_back({addr, mem.contains(addr), mem.load(addr)});
         mem.storeWord(addr, v);
     }
 
@@ -143,10 +111,6 @@ class ModelEdit
             undo();
         bvLog.clear();
         wordLog.clear();
-        bvBackup.reset();
-        wordsBackup.reset();
-        memsBackup.reset();
-        createdMem2 = false;
     }
 
   private:
@@ -161,22 +125,19 @@ class ModelEdit
         std::uint64_t old;
     };
 
-    static void
-    revert(std::unordered_map<std::string, std::uint64_t> &vars,
-           const std::vector<BvUndo> &log)
+    void
+    undo()
     {
-        for (auto u = log.rbegin(); u != log.rend(); ++u) {
+        for (auto u = bvLog.rbegin(); u != bvLog.rend(); ++u) {
             if (u->existed)
-                vars.find(*u->name)->second = u->old;
+                model.bvVars.find(*u->name)->second = u->old;
             else
-                vars.erase(*u->name);
+                model.bvVars.erase(*u->name);
         }
-    }
-
-    static void
-    revert(expr::ConcreteMemory &mem, const std::vector<WordUndo> &log)
-    {
-        for (auto u = log.rbegin(); u != log.rend(); ++u) {
+        if (wordLog.empty())
+            return;
+        expr::ConcreteMemory &mem = model.mems.find(mem2)->second;
+        for (auto u = wordLog.rbegin(); u != wordLog.rend(); ++u) {
             if (u->existed)
                 mem.storeWord(u->addr, u->old);
             else
@@ -184,31 +145,10 @@ class ModelEdit
         }
     }
 
-    void
-    undo()
-    {
-        if (bvBackup)
-            model.bvVars = std::move(*bvBackup);
-        else
-            revert(model.bvVars, bvLog);
-        if (memsBackup)
-            model.mems = std::move(*memsBackup);
-        else if (createdMem2)
-            model.mems.erase(mem2);
-        else if (wordsBackup)
-            model.mems.find(mem2)->second = std::move(*wordsBackup);
-        else if (!wordLog.empty())
-            revert(model.mems.find(mem2)->second, wordLog);
-    }
-
     expr::Assignment &model;
     const std::string &mem2 = harness::stateNames("_2").mem;
     std::vector<BvUndo> bvLog;
     std::vector<WordUndo> wordLog;
-    std::optional<std::unordered_map<std::string, std::uint64_t>> bvBackup;
-    std::optional<expr::ConcreteMemory> wordsBackup;
-    std::optional<decltype(expr::Assignment::mems)> memsBackup;
-    bool createdMem2 = false;
 };
 
 /** Register variables of both states, for model blocking. */

@@ -46,7 +46,9 @@ class ConcreteMemory
     /** Drop addr's explicit entry, if any. */
     void erase(std::uint64_t addr) { words.erase(addr); }
 
-    /** Underlying sparse map (iteration for experiment setup). */
+    /** Underlying sparse map.  Its iteration order depends on the
+     *  map's insert and rehash history, so output must not follow it:
+     *  harness::inputFromAssignment() sorts the words by address. */
     const std::unordered_map<std::uint64_t, std::uint64_t> &
     entries() const
     {

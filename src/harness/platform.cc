@@ -1,5 +1,6 @@
 #include "harness/platform.hh"
 
+#include <algorithm>
 #include <memory>
 
 #include "support/faults.hh"
@@ -33,9 +34,9 @@ inputFromAssignment(const expr::Assignment &a, const std::string &suffix)
         input.regs.regs[r] = a.bv(names.regs[r]);
     auto mit = a.mems.find(names.mem);
     if (mit != a.mems.end()) {
-        input.mem.reserve(mit->second.entries().size());
-        for (const auto &[addr, val] : mit->second.entries())
-            input.mem.emplace_back(addr, val);
+        const auto &words = mit->second.entries();
+        input.mem.assign(words.begin(), words.end());
+        std::sort(input.mem.begin(), input.mem.end());
     }
     return input;
 }

@@ -39,7 +39,13 @@
 
 namespace scamv::harness {
 
-/** Initial memory contents of one state: (address, word) pairs. */
+/**
+ * Initial memory contents of one state: (address, word) pairs in
+ * ascending address order, each address at most once.
+ * inputFromAssignment() fixes this order, so every consumer of a test
+ * case (the db CSV, shard records, findings, the minimizer and the
+ * platform) sees the same bytes whatever the solver map's history.
+ */
 using MemInit = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 /** One program input: registers + initial memory words. */
@@ -75,7 +81,9 @@ const StateNames &stateNames(const std::string &suffix);
 
 /**
  * Convert a solver model into the ProgramInput for one state: register
- * variables named "x<i><suffix>" and memory variable "mem<suffix>".
+ * variables named "x<i><suffix>" and memory variable "mem<suffix>",
+ * whose words are sorted by address (the one place that decides
+ * test-case memory order).
  */
 ProgramInput inputFromAssignment(const expr::Assignment &a,
                                  const std::string &suffix);

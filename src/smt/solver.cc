@@ -179,6 +179,22 @@ tallyQuery(Outcome outcome, double start_time)
     return outcome;
 }
 
+namespace {
+
+/** Tally one CDCL answer started at `t0` as its query outcome. */
+Outcome
+tallySat(sat::Result r, double t0)
+{
+    switch (r) {
+      case sat::Result::Sat: return tallyQuery(Outcome::Sat, t0);
+      case sat::Result::Unsat: return tallyQuery(Outcome::Unsat, t0);
+      case sat::Result::Unknown: break;
+    }
+    return tallyQuery(Outcome::Unknown, t0);
+}
+
+} // namespace
+
 Outcome
 SmtSolver::solve(std::int64_t conflict_budget)
 {
@@ -186,24 +202,14 @@ SmtSolver::solve(std::int64_t conflict_budget)
     // Injected solver timeout: report Unknown without searching.
     if (faults::maybeInject(faults::Site::SmtUnknown))
         return tallyQuery(Outcome::Unknown, t0);
-    switch (sat.solve(conflict_budget)) {
-      case sat::Result::Sat: return tallyQuery(Outcome::Sat, t0);
-      case sat::Result::Unsat: return tallyQuery(Outcome::Unsat, t0);
-      case sat::Result::Unknown: return tallyQuery(Outcome::Unknown, t0);
-    }
-    return tallyQuery(Outcome::Unknown, t0);
+    return tallySat(sat.solve(conflict_budget), t0);
 }
 
 Outcome
 SmtSolver::solveNoInject(std::int64_t conflict_budget)
 {
     const double t0 = metrics::current().now();
-    switch (sat.solve(conflict_budget)) {
-      case sat::Result::Sat: return tallyQuery(Outcome::Sat, t0);
-      case sat::Result::Unsat: return tallyQuery(Outcome::Unsat, t0);
-      case sat::Result::Unknown: return tallyQuery(Outcome::Unknown, t0);
-    }
-    return tallyQuery(Outcome::Unknown, t0);
+    return tallySat(sat.solve(conflict_budget), t0);
 }
 
 Outcome
@@ -216,12 +222,7 @@ SmtSolver::solveWith(Expr temporary, std::int64_t conflict_budget)
     if (faults::maybeInject(faults::Site::SmtUnknown))
         return tallyQuery(Outcome::Unknown, t0);
     const sat::Lit l = blaster.boolLit(lowerAndAckermannize(temporary));
-    switch (sat.solveAssuming({l}, conflict_budget)) {
-      case sat::Result::Sat: return tallyQuery(Outcome::Sat, t0);
-      case sat::Result::Unsat: return tallyQuery(Outcome::Unsat, t0);
-      case sat::Result::Unknown: return tallyQuery(Outcome::Unknown, t0);
-    }
-    return tallyQuery(Outcome::Unknown, t0);
+    return tallySat(sat.solveAssuming({l}, conflict_budget), t0);
 }
 
 expr::Assignment
@@ -271,16 +272,6 @@ void
 SmtSolver::randomizePhases(Rng &rng)
 {
     sat.randomizePhases(rng);
-}
-
-SolverStats
-SmtSolver::stats() const
-{
-    SolverStats s;
-    s.satCalls = 0;
-    s.conflicts = sat.conflicts();
-    s.decisions = sat.decisions();
-    return s;
 }
 
 Outcome

@@ -41,13 +41,6 @@ namespace scamv::smt {
 /** Solve outcome. */
 enum class Outcome { Sat, Unsat, Unknown };
 
-/** Aggregated solver statistics (exposed for benches). */
-struct SolverStats {
-    std::uint64_t satCalls = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t decisions = 0;
-};
-
 /**
  * One-shot incremental solver instance for a fixed base constraint.
  *
@@ -116,9 +109,6 @@ class SmtSolver
 
     /** Use uniformly random decision polarities from now on. */
     void randomizePhases(Rng &rng);
-
-    /** Statistics of the underlying CDCL solver. */
-    SolverStats stats() const;
 
   private:
     expr::Expr lowerAndAckermannize(expr::Expr e);

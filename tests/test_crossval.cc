@@ -263,9 +263,10 @@ TEST_P(CrossVal, InjectedFlakesOnlyDegradeVerdicts)
             const harness::ExperimentResult clean =
                 clean_platform.runExperiment(p, tc);
             ASSERT_EQ(clean.flakedReps, 0);
-            if (tc.s1.regs.regs == tc.s2.regs.regs)
+            if (tc.s1.regs.regs == tc.s2.regs.regs) {
                 ASSERT_EQ(clean.verdict,
                           harness::Verdict::Indistinguishable);
+            }
 
             harness::Platform flaky_platform(harness::PlatformConfig{},
                                              999);
@@ -284,14 +285,16 @@ TEST_P(CrossVal, InjectedFlakesOnlyDegradeVerdicts)
             EXPECT_NE(flaky.verdict,
                       harness::Verdict::Indistinguishable);
             // ...nor fabricate a distinguishing experiment.
-            if (clean.verdict == harness::Verdict::Indistinguishable)
+            if (clean.verdict == harness::Verdict::Indistinguishable) {
                 EXPECT_EQ(flaky.verdict,
                           harness::Verdict::Inconclusive);
+            }
             // A clean counterexample survives at least as
             // inconclusive — it is never flipped to a pass.
-            if (clean.verdict == harness::Verdict::Counterexample)
+            if (clean.verdict == harness::Verdict::Counterexample) {
                 EXPECT_NE(flaky.verdict,
                           harness::Verdict::Indistinguishable);
+            }
         }
     }
     // The property must not pass vacuously.

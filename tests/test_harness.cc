@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
 #include "bir/asm.hh"
+#include "core/expdb.hh"
 #include "harness/flush_reload.hh"
 #include "harness/platform.hh"
 
@@ -180,6 +185,55 @@ TEST(Platform, InputFromAssignmentExtractsState)
     ASSERT_EQ(in.mem.size(), 1u);
     EXPECT_EQ(in.mem[0].first, 0x1000u);
     EXPECT_EQ(in.mem[0].second, 42u);
+}
+
+/** @return the bytes ExperimentDb::exportCsv writes for one record
+ *  holding `model`'s test case. */
+std::string
+csvOf(const expr::Assignment &model, const std::string &path)
+{
+    core::ExperimentRecord r;
+    r.programName = "p";
+    r.testCase.s1 = inputFromAssignment(model, "_1");
+    r.testCase.s2 = inputFromAssignment(model, "_2");
+    core::ExperimentDb db;
+    db.add(r);
+    EXPECT_TRUE(db.exportCsv(path));
+    std::ifstream f(path);
+    std::stringstream bytes;
+    bytes << f.rdbuf();
+    std::remove(path.c_str());
+    return bytes.str();
+}
+
+TEST(Platform, InputFromAssignmentSortsMemoryByAddress)
+{
+    // The same words in both memories of two models, inserted in
+    // opposite orders; model b's maps are also pushed past a rehash
+    // first, so the two models' maps iterate in different orders.
+    const MemInit words = {{0, 0}, {304, 1}, {216, 2}, {112, 1}, {296, 2}};
+    expr::Assignment a, b;
+    for (const char *name : {"mem_1", "mem_2"}) {
+        for (const auto &[addr, v] : words)
+            a.mems[name].storeWord(addr, v);
+        expr::ConcreteMemory &mem = b.mems[name];
+        for (std::uint64_t i = 1; i <= 64; ++i)
+            mem.storeWord(8 * i + 1, 0);
+        for (std::uint64_t i = 1; i <= 64; ++i)
+            mem.erase(8 * i + 1);
+        for (auto w = words.rbegin(); w != words.rend(); ++w)
+            mem.storeWord(w->first, w->second);
+    }
+
+    const MemInit ascending = {
+        {0, 0}, {112, 1}, {216, 2}, {296, 2}, {304, 1}};
+    for (const char *suffix : {"_1", "_2"}) {
+        EXPECT_EQ(inputFromAssignment(a, suffix).mem, ascending);
+        EXPECT_EQ(inputFromAssignment(b, suffix).mem, ascending);
+    }
+    const std::string dir = ::testing::TempDir();
+    EXPECT_EQ(csvOf(a, dir + "scamv_sorted_mem_a.csv"),
+              csvOf(b, dir + "scamv_sorted_mem_b.csv"));
 }
 
 TEST(FlushReload, RecoversVictimAccess)

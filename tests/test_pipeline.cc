@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 
 #include "bir/asm.hh"
 #include "core/expdb.hh"
@@ -334,17 +335,26 @@ copyingSymmetrize(expr::Expr formula, const bir::Program &program,
     }
 }
 
-/** Every map of the model in iteration order, values included. */
+/** Every map of the model in sorted key order, values included.  A
+ *  memory without words prints like an absent one: both read as 0. */
 std::string
 layout(const expr::Assignment &a)
 {
     std::string out;
-    for (const auto &[name, v] : a.bvVars)
+    for (const auto &[name, v] :
+         std::map<std::string, std::uint64_t>(a.bvVars.begin(),
+                                              a.bvVars.end()))
         out += name + "=" + std::to_string(v) + " ";
     out += "|";
-    for (const auto &[name, mem] : a.mems) {
+    for (const auto &[name, mem] :
+         std::map<std::string, expr::ConcreteMemory>(a.mems.begin(),
+                                                     a.mems.end())) {
+        if (mem.entries().empty())
+            continue;
         out += " " + name + ":";
-        for (const auto &[addr, v] : mem.entries())
+        for (const auto &[addr, v] :
+             std::map<std::uint64_t, std::uint64_t>(
+                 mem.entries().begin(), mem.entries().end()))
             out += " " + std::to_string(addr) + "=" + std::to_string(v);
     }
     return out;
