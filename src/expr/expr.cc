@@ -536,6 +536,38 @@ toString(Expr e)
 }
 
 Expr
+rebuild(ExprContext &ctx, Kind kind, const std::vector<Expr> &ks)
+{
+    switch (kind) {
+      case Kind::Add: return ctx.add(ks[0], ks[1]);
+      case Kind::Sub: return ctx.sub(ks[0], ks[1]);
+      case Kind::Mul: return ctx.mul(ks[0], ks[1]);
+      case Kind::BvAnd: return ctx.bvAnd(ks[0], ks[1]);
+      case Kind::BvOr: return ctx.bvOr(ks[0], ks[1]);
+      case Kind::BvXor: return ctx.bvXor(ks[0], ks[1]);
+      case Kind::BvNot: return ctx.bvNot(ks[0]);
+      case Kind::Neg: return ctx.neg(ks[0]);
+      case Kind::Shl: return ctx.shl(ks[0], ks[1]);
+      case Kind::Lshr: return ctx.lshr(ks[0], ks[1]);
+      case Kind::Ashr: return ctx.ashr(ks[0], ks[1]);
+      case Kind::Ite: return ctx.ite(ks[0], ks[1], ks[2]);
+      case Kind::Read: return ctx.read(ks[0], ks[1]);
+      case Kind::Store: return ctx.store(ks[0], ks[1], ks[2]);
+      case Kind::Eq: return ctx.eq(ks[0], ks[1]);
+      case Kind::Ult: return ctx.ult(ks[0], ks[1]);
+      case Kind::Ule: return ctx.ule(ks[0], ks[1]);
+      case Kind::Slt: return ctx.slt(ks[0], ks[1]);
+      case Kind::Sle: return ctx.sle(ks[0], ks[1]);
+      case Kind::And: return ctx.land(ks[0], ks[1]);
+      case Kind::Or: return ctx.lor(ks[0], ks[1]);
+      case Kind::Not: return ctx.lnot(ks[0]);
+      case Kind::Implies: return ctx.implies(ks[0], ks[1]);
+      default: break;
+    }
+    SCAMV_PANIC(std::string("rebuild: unexpected kind ") + kindName(kind));
+}
+
+Expr
 substitute(ExprContext &ctx, Expr e,
            const std::unordered_map<Expr, Expr> &map)
 {
@@ -559,43 +591,7 @@ substitute(ExprContext &ctx, Expr e,
                 changed |= (nk != k);
                 ks.push_back(nk);
             }
-            if (!changed) {
-                result = n;
-            } else {
-                switch (n->kind) {
-                  case Kind::Add: result = ctx.add(ks[0], ks[1]); break;
-                  case Kind::Sub: result = ctx.sub(ks[0], ks[1]); break;
-                  case Kind::Mul: result = ctx.mul(ks[0], ks[1]); break;
-                  case Kind::BvAnd: result = ctx.bvAnd(ks[0], ks[1]); break;
-                  case Kind::BvOr: result = ctx.bvOr(ks[0], ks[1]); break;
-                  case Kind::BvXor: result = ctx.bvXor(ks[0], ks[1]); break;
-                  case Kind::BvNot: result = ctx.bvNot(ks[0]); break;
-                  case Kind::Neg: result = ctx.neg(ks[0]); break;
-                  case Kind::Shl: result = ctx.shl(ks[0], ks[1]); break;
-                  case Kind::Lshr: result = ctx.lshr(ks[0], ks[1]); break;
-                  case Kind::Ashr: result = ctx.ashr(ks[0], ks[1]); break;
-                  case Kind::Ite:
-                    result = ctx.ite(ks[0], ks[1], ks[2]);
-                    break;
-                  case Kind::Read: result = ctx.read(ks[0], ks[1]); break;
-                  case Kind::Store:
-                    result = ctx.store(ks[0], ks[1], ks[2]);
-                    break;
-                  case Kind::Eq: result = ctx.eq(ks[0], ks[1]); break;
-                  case Kind::Ult: result = ctx.ult(ks[0], ks[1]); break;
-                  case Kind::Ule: result = ctx.ule(ks[0], ks[1]); break;
-                  case Kind::Slt: result = ctx.slt(ks[0], ks[1]); break;
-                  case Kind::Sle: result = ctx.sle(ks[0], ks[1]); break;
-                  case Kind::And: result = ctx.land(ks[0], ks[1]); break;
-                  case Kind::Or: result = ctx.lor(ks[0], ks[1]); break;
-                  case Kind::Not: result = ctx.lnot(ks[0]); break;
-                  case Kind::Implies:
-                    result = ctx.implies(ks[0], ks[1]);
-                    break;
-                  default:
-                    SCAMV_PANIC("substitute: unexpected kind");
-                }
-            }
+            result = changed ? rebuild(ctx, n->kind, ks) : n;
         }
         memo.emplace(n, result);
         return result;

@@ -193,6 +193,13 @@ std::vector<Expr> collectReads(Expr e);
 std::string toString(Expr e);
 
 /**
+ * Build the operator node `kind` over `kids` through its ctx builder,
+ * so the result is interned and simplified exactly as if built
+ * directly.  Leaf kinds have no builder here and panic.
+ */
+Expr rebuild(ExprContext &ctx, Kind kind, const std::vector<Expr> &kids);
+
+/**
  * Substitute variables by replacement terms (simultaneous), rebuilding
  * through ctx so the result stays interned and simplified.
  */

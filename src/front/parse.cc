@@ -519,8 +519,11 @@ dumpAst(const Unit &unit)
         case Qualifier::Public: out += "public "; break;
         }
         out += "u64 " + d.name;
-        if (d.isArray)
-            out += "[" + std::to_string(d.arraySize) + "]";
+        if (d.isArray) {
+            out += '[';
+            out += std::to_string(d.arraySize);
+            out += ']';
+        }
         out += ")\n";
     }
     for (const auto &s : unit.stmts)

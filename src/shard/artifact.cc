@@ -98,8 +98,8 @@ decodeRegs(std::string_view s, hw::ArchState &out)
     return true;
 }
 
-/** Memory init list: "addr:word,addr:word" in vector order (order is
- *  part of the test case and must survive the round trip). */
+/** Memory init list: "addr:word,addr:word" in the MemInit's
+ *  address-ascending order; decodeMem rejects any other order. */
 std::string
 encodeMem(const harness::MemInit &mem)
 {
@@ -130,6 +130,9 @@ decodeMem(std::string_view s, harness::MemInit &out)
         std::uint64_t addr = 0, word = 0;
         if (!parseHex(item.substr(0, colon), addr) ||
             !parseHex(item.substr(colon + 1), word))
+            return false;
+        // MemInit addresses are strictly ascending (unique).
+        if (!out.empty() && addr <= out.back().first)
             return false;
         out.emplace_back(addr, word);
         pos = comma + 1;

@@ -53,47 +53,28 @@ SmtSolver::lowerReads(Expr e)
             };
             result = chain(ks[0]);
         } else {
-            std::unordered_map<Expr, Expr> noop;
-            // Rebuild with lowered children via substitute on a
-            // single-level basis: construct directly.
-            // (substitute() would re-walk; build by kind instead.)
-            switch (e->kind) {
-              case Kind::Add: result = ctx.add(ks[0], ks[1]); break;
-              case Kind::Sub: result = ctx.sub(ks[0], ks[1]); break;
-              case Kind::Mul: result = ctx.mul(ks[0], ks[1]); break;
-              case Kind::BvAnd: result = ctx.bvAnd(ks[0], ks[1]); break;
-              case Kind::BvOr: result = ctx.bvOr(ks[0], ks[1]); break;
-              case Kind::BvXor: result = ctx.bvXor(ks[0], ks[1]); break;
-              case Kind::BvNot: result = ctx.bvNot(ks[0]); break;
-              case Kind::Neg: result = ctx.neg(ks[0]); break;
-              case Kind::Shl: result = ctx.shl(ks[0], ks[1]); break;
-              case Kind::Lshr: result = ctx.lshr(ks[0], ks[1]); break;
-              case Kind::Ashr: result = ctx.ashr(ks[0], ks[1]); break;
-              case Kind::Ite:
-                result = ctx.ite(ks[0], ks[1], ks[2]);
-                break;
-              case Kind::Store:
-                result = ctx.store(ks[0], ks[1], ks[2]);
-                break;
-              case Kind::Eq: result = ctx.eq(ks[0], ks[1]); break;
-              case Kind::Ult: result = ctx.ult(ks[0], ks[1]); break;
-              case Kind::Ule: result = ctx.ule(ks[0], ks[1]); break;
-              case Kind::Slt: result = ctx.slt(ks[0], ks[1]); break;
-              case Kind::Sle: result = ctx.sle(ks[0], ks[1]); break;
-              case Kind::And: result = ctx.land(ks[0], ks[1]); break;
-              case Kind::Or: result = ctx.lor(ks[0], ks[1]); break;
-              case Kind::Not: result = ctx.lnot(ks[0]); break;
-              case Kind::Implies:
-                result = ctx.implies(ks[0], ks[1]);
-                break;
-              default:
-                SCAMV_PANIC("lowerReads: unexpected kind");
-            }
+            result = expr::rebuild(ctx, e->kind, ks);
         }
     }
     lowerCache.emplace(e, result);
     return result;
 }
+
+namespace {
+
+/**
+ * @return true iff a and b are constants with different values, the
+ * one case in which `ctx.eq(a, b)` folds to false without interning
+ * and so makes an Ackermann axiom `a = b => ...` trivially true.
+ */
+bool
+distinctConsts(Expr a, Expr b)
+{
+    return a->kind == Kind::BvConst && b->kind == Kind::BvConst &&
+           a->value != b->value;
+}
+
+} // namespace
 
 Expr
 SmtSolver::lowerAndAckermannize(Expr e)
@@ -116,27 +97,28 @@ SmtSolver::lowerAndAckermannize(Expr e)
                 changed |= nk != k;
                 ks.push_back(nk);
             }
-            Expr rebuilt = n;
-            if (changed) {
-                std::unordered_map<Expr, Expr> map;
-                for (std::size_t i = 0; i < ks.size(); ++i)
-                    map.emplace(n->kids[i], ks[i]);
-                rebuilt = expr::substitute(ctx, n, map);
-            }
+            Expr rebuilt = changed ? expr::rebuild(ctx, n->kind, ks) : n;
             if (rebuilt->kind == Kind::Read) {
                 Expr mem = rebuilt->kids[0];
                 Expr addr = rebuilt->kids[1];
                 Expr fresh = ctx.bvVar(mem->name + "!rd" +
                                        std::to_string(freshCounter++));
                 // Functional consistency with all previous reads of
-                // the same memory.
-                for (const ReadInfo &prev : reads) {
-                    if (prev.memVar != mem)
+                // the same memory, except where both addresses are
+                // distinct constants and the axiom is trivially true.
+                std::vector<std::size_t> &same_mem = readsByMem[mem];
+                for (std::size_t i : same_mem) {
+                    const ReadInfo &prev = reads[i];
+                    if (distinctConsts(prev.addr, addr)) {
+                        ++ackSkipped;
                         continue;
+                    }
+                    ++ackAxioms;
                     blaster.assertTrue(ctx.implies(
                         ctx.eq(prev.addr, addr),
                         ctx.eq(prev.fresh, fresh)));
                 }
+                same_mem.push_back(reads.size());
                 reads.push_back({mem, addr, fresh});
                 result = fresh;
             } else {
@@ -147,6 +129,20 @@ SmtSolver::lowerAndAckermannize(Expr e)
         return result;
     };
     return ack(lowered);
+}
+
+void
+SmtSolver::flushAckCounts()
+{
+    if (ackAxioms == 0 && ackSkipped == 0)
+        return;
+    metrics::Registry &reg = metrics::current();
+    if (ackAxioms != 0)
+        reg.counter("smt.ack_axioms").add(ackAxioms);
+    if (ackSkipped != 0)
+        reg.counter("smt.ack_skipped").add(ackSkipped);
+    ackAxioms = 0;
+    ackSkipped = 0;
 }
 
 void
@@ -199,6 +195,7 @@ Outcome
 SmtSolver::solve(std::int64_t conflict_budget)
 {
     const double t0 = metrics::current().now();
+    flushAckCounts();
     // Injected solver timeout: report Unknown without searching.
     if (faults::maybeInject(faults::Site::SmtUnknown))
         return tallyQuery(Outcome::Unknown, t0);
@@ -209,6 +206,7 @@ Outcome
 SmtSolver::solveNoInject(std::int64_t conflict_budget)
 {
     const double t0 = metrics::current().now();
+    flushAckCounts();
     return tallySat(sat.solve(conflict_budget), t0);
 }
 
@@ -219,9 +217,12 @@ SmtSolver::solveWith(Expr temporary, std::int64_t conflict_budget)
                  "solveWith: non-boolean constraint");
     const double t0 = metrics::current().now();
     // Injected solver timeout: report Unknown without searching.
-    if (faults::maybeInject(faults::Site::SmtUnknown))
+    if (faults::maybeInject(faults::Site::SmtUnknown)) {
+        flushAckCounts();
         return tallyQuery(Outcome::Unknown, t0);
+    }
     const sat::Lit l = blaster.boolLit(lowerAndAckermannize(temporary));
+    flushAckCounts();
     return tallySat(sat.solveAssuming({l}, conflict_budget), t0);
 }
 
@@ -236,11 +237,26 @@ SmtSolver::model()
             a.boolVars[v->name] = blaster.boolModel(v);
     }
     for (const ReadInfo &r : reads) {
-        const std::uint64_t addr = blaster.bvModel(r.addr);
+        const std::uint64_t addr = addressModel(r.addr);
         const std::uint64_t val = blaster.bvModel(r.fresh);
         a.mems[r.memVar->name].storeWord(addr, val);
     }
     return a;
+}
+
+std::uint64_t
+SmtSolver::addressModel(Expr addr)
+{
+    if (addr->kids.empty())
+        return blaster.bvModel(addr);
+    expr::Assignment leaves;
+    for (Expr v : expr::collectVars(addr)) {
+        if (v->kind == Kind::BvVar)
+            leaves.bvVars[v->name] = blaster.bvModel(v);
+        else if (v->kind == Kind::BoolVar)
+            leaves.boolVars[v->name] = blaster.boolModel(v);
+    }
+    return expr::evalBv(addr, leaves);
 }
 
 bool

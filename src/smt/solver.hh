@@ -10,7 +10,9 @@
  * Memory handling: read-over-write chains are lowered to ite-chains
  * over reads of base memory variables, then every distinct
  * read(mem, addr) is Ackermannized into a fresh bitvector variable
- * with pairwise functional-consistency constraints.  Model extraction
+ * with pairwise functional-consistency constraints against the earlier
+ * reads of the same memory (none for two distinct constant addresses,
+ * where the constraint is trivially true).  Model extraction
  * maps each read back to a concrete (address, value) pair, yielding
  * the initial memory contents for the experiment platform.
  *
@@ -113,6 +115,20 @@ class SmtSolver
   private:
     expr::Expr lowerAndAckermannize(expr::Expr e);
     expr::Expr lowerReads(expr::Expr e);
+    /**
+     * Add the pending Ackermann tallies to smt.ack_axioms /
+     * smt.ack_skipped, once per query and only when non-zero.  The
+     * tallies of require() wait for the next query, so they land in
+     * the registry that captures that query's metrics delta.
+     */
+    void flushAckCounts();
+    /**
+     * Model value of a read's lowered address.  A composite address
+     * that only its read mentions is never bit-blasted before the
+     * solve, and blasting it afterwards yields gates without model
+     * values, so it is evaluated over the model of its leaves.
+     */
+    std::uint64_t addressModel(expr::Expr addr);
 
     expr::ExprContext &ctx;
     sat::Solver sat;
@@ -127,7 +143,13 @@ class SmtSolver
         expr::Expr addr;     ///< lowered address expression
         expr::Expr fresh;    ///< replacement bv variable
     };
+    /** Every read in creation order; model() fills memories in it. */
     std::vector<ReadInfo> reads;
+    /** Indices into `reads`, per base memory variable. */
+    std::unordered_map<expr::Expr, std::vector<std::size_t>> readsByMem;
+    /** Axioms asserted / skipped since the last flushAckCounts(). */
+    std::uint64_t ackAxioms = 0;
+    std::uint64_t ackSkipped = 0;
     std::unordered_map<expr::Expr, expr::Expr> readCache;
     std::unordered_map<expr::Expr, expr::Expr> lowerCache;
     int freshCounter = 0;

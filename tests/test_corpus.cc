@@ -194,6 +194,22 @@ TEST_F(CorpusTest, SboxAndStrideLeakCtSelectDoesNot)
 }
 
 // ---------------------------------------------------------------
+// Work counters
+
+TEST_F(CorpusTest, AckermannSkipsEveryConstantAddressPair)
+{
+    // Every corpus read has a constant address, so every Ackermann
+    // pair of reads of one memory has two distinct constants and is
+    // skipped.  Building the axioms again makes smt.ack_axioms
+    // non-zero and fails here.
+    const core::RunStats stats = core::Pipeline(corpusCfg(5)).run();
+    const auto &c = stats.metrics.counters;
+    EXPECT_EQ(c.count("smt.ack_axioms"), 0u);
+    ASSERT_EQ(c.count("smt.ack_skipped"), 1u);
+    EXPECT_GT(c.at("smt.ack_skipped"), 0u);
+}
+
+// ---------------------------------------------------------------
 // Determinism matrix
 
 TEST_F(CorpusTest, ThreadCountDoesNotChangeArtifacts)

@@ -410,6 +410,33 @@ TEST_F(ShardTest, ForeignHeaderRejectsArtifact)
     EXPECT_FALSE(shard::decodeSlice(text).has_value());
 }
 
+TEST_F(ShardTest, MemoryOutOfAddressOrderDropsItsGroup)
+{
+    // A MemInit is address-ascending with unique addresses, so a
+    // record whose words break that is malformed: its whole group is
+    // dropped, exactly like a line that fails its checksum.
+    struct Bad {
+        harness::MemInit s1, s2;
+    };
+    const Bad bad[] = {
+        {{{0x80040, 0}, {0x80000, 0x40}}, {}},             // descending
+        {{{0x80000, 0x40}}, {{0x80008, 1}, {0x80008, 2}}}, // repeated
+    };
+    for (const Bad &b : bad) {
+        core::CampaignSlice slice = sampleSlice();
+        harness::TestCase &tc = slice.outcomes[0].records[0].testCase;
+        tc.s1.mem = b.s1;
+        tc.s2.mem = b.s2;
+        const auto dec = shard::decodeSlice(shard::encodeSlice(
+            slice, shard::ShardSpec{1, 3}, sampleCfg()));
+        ASSERT_TRUE(dec.has_value());
+        EXPECT_EQ(dec->droppedGroups, 1u);
+        EXPECT_FALSE(dec->present[0]);
+        EXPECT_TRUE(dec->present[1]);
+        EXPECT_TRUE(dec->present[2]);
+    }
+}
+
 TEST_F(ShardTest, InjectedCorruptionDropsGroups)
 {
     const std::string text = shard::encodeSlice(
@@ -844,6 +871,16 @@ randomCase(Rng &rng)
                                rng.next());
         tc.s2.mem.emplace_back(0x80000 + 8 * rng.below(64),
                                rng.below(2) ? rng.next() : 0);
+    }
+    // A MemInit is address-ascending with unique addresses; the
+    // decoder rejects anything else.
+    for (harness::MemInit *mem : {&tc.s1.mem, &tc.s2.mem}) {
+        std::sort(mem->begin(), mem->end());
+        mem->erase(std::unique(mem->begin(), mem->end(),
+                               [](const auto &a, const auto &b) {
+                                   return a.first == b.first;
+                               }),
+                   mem->end());
     }
     if (rng.below(2))
         tc.s2.regs.regs[rng.below(bir::kNumRegs)] = rng.next();
