@@ -94,8 +94,10 @@ main()
             continue;
         auto model = solver.model();
         harness::TestCase tc;
-        tc.s1 = harness::inputFromAssignment(model, "_1");
-        tc.s2 = harness::inputFromAssignment(model, "_2");
+        tc.s1 = harness::inputFromAssignment(
+            model, harness::stateVars(ctx, "_1"));
+        tc.s2 = harness::inputFromAssignment(
+            model, harness::stateVars(ctx, "_2"));
         std::printf("\n== Test case (path %s) ==\n",
                     relation.paths1()[pair.idx1].pathId().c_str());
         std::printf("s1: x0=%#lx x1=%#lx   s2: x0=%#lx x1=%#lx\n",
@@ -108,7 +110,8 @@ main()
         if (tf) {
             smt::SmtSolver ts(ctx, *tf);
             if (ts.solve() == smt::Outcome::Sat)
-                training = harness::inputFromAssignment(ts.model(), "_t");
+                training = harness::inputFromAssignment(
+                    ts.model(), harness::stateVars(ctx, "_t"));
         }
 
         auto result = platform.runExperiment(program, tc, training);

@@ -6,6 +6,11 @@
 # coverage.json, stats.json, plus findings.json and qcache.txt where
 # the leg produces them).  Exits non-zero on any difference.
 #
+# The warm leg also checks that build B decodes build A's query cache
+# checkpoint: build A runs cold and writes qcache.txt, then each build
+# runs warm from its own copy of that file.  Every query must hit, so
+# neither warm run appends a record to its copy.
+#
 # Usage: scripts/compare_builds.sh <build-a> <build-b>
 #
 # Each build directory must contain src/shard/scamv_worker, e.g.
@@ -38,6 +43,7 @@ trap 'rm -rf "$OUT"' EXIT
 # `VAR=value` environment settings, then `--` and worker flags.  The
 # string @DIR@ in a setting is replaced by the leg's output directory.
 failed=0
+warm_from=""
 run_leg() {
     local name="$1"
     shift
@@ -53,6 +59,7 @@ run_leg() {
         [ "$side" = b ] && worker="$WORKER_B"
         dir="$OUT/$name/$side"
         mkdir -p "$dir"
+        [ -n "$warm_from" ] && cp "$warm_from" "$dir/qcache.txt"
         env "${envs[@]//@DIR@/$dir}" "$worker" --single --dir "$dir" "$@" \
             > "$dir.log" 2>&1 || {
             echo "FAIL $name: worker $side exited non-zero" >&2
@@ -88,6 +95,29 @@ run_leg corpus -- --corpus "$CORPUS"
 run_leg faults SCAMV_FAULT_RATE=0.2 SCAMV_TRIAGE=1 SCAMV_MINIMIZE=1 \
     SCAMV_FINDINGS_FILE=@DIR@/findings.json --
 run_leg qcache SCAMV_QCACHE_MB=8 --
+
+# Cross-build warm leg: build A's cold checkpoint seeds both sides.
+# qcache.* counters live in the process-global registry, not in
+# metrics.json, so "every query hit" is checked on the checkpoint: a
+# miss that solves stores, and a store appends a record.
+cold="$OUT/warm-cold"
+mkdir -p "$cold"
+if SCAMV_QCACHE_MB=64 "$WORKER_A" --single --dir "$cold" \
+    > "$cold.log" 2>&1; then
+    warm_from="$cold/qcache.txt"
+    run_leg warm SCAMV_QCACHE_MB=64 --
+    warm_from=""
+    for side in a b; do
+        if ! cmp -s "$cold/qcache.txt" "$OUT/warm/$side/qcache.txt"; then
+            echo "FAIL warm: warm run $side missed the checkpoint" >&2
+            failed=1
+        fi
+    done
+else
+    echo "FAIL warm: cold worker a exited non-zero" >&2
+    cat "$cold.log" >&2
+    failed=1
+fi
 
 if [ "$failed" -ne 0 ]; then
     echo "compare_builds: artifacts differ" >&2

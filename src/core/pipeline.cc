@@ -74,31 +74,35 @@ namespace {
 /**
  * In-place edits of s2's registers and memory in a model, undone when
  * the edited model fails the formula: an overwrite is undone by
- * writing the old value back and an insert by erasing the key.  An
- * undone insert may leave a map in another iteration order, and an
- * undone store to an absent mem_2 leaves it empty, which reads like
- * absent.  Nothing depends on either: inputFromAssignment() sorts the
- * test case's memory by address.
+ * writing the old value back and an insert by unsetting the variable
+ * or erasing the word.  An undone word insert may leave the memory's
+ * map in another iteration order, and an undone store to an unset
+ * mem_2 leaves it set but empty, which reads like unset.  Nothing
+ * depends on either: inputFromAssignment() sorts the test case's
+ * memory by address.
  */
 class ModelEdit
 {
   public:
-    explicit ModelEdit(expr::Assignment &model) : model(model) {}
+    ModelEdit(expr::Assignment &model, Expr mem2)
+        : model(model), mem2(mem2)
+    {}
 
-    /** model.bvVars[name] = v (`name` must outlive the edit). */
+    /** model.setBv(v, x). */
     void
-    setBv(const std::string &name, std::uint64_t v)
+    setBv(Expr v, std::uint64_t x)
     {
-        const auto [it, inserted] = model.bvVars.try_emplace(name);
-        bvLog.push_back({&name, !inserted, it->second});
-        it->second = v;
+        const bool existed = model.bvVars.has(v->slot);
+        std::uint64_t &value = model.bvVars[v->slot];
+        bvLog.push_back({v->slot, existed, value});
+        value = x;
     }
 
-    /** model.mems["mem_2"].storeWord(addr, v). */
+    /** model.memOf(mem_2).storeWord(addr, v). */
     void
     storeMem2(std::uint64_t addr, std::uint64_t v)
     {
-        expr::ConcreteMemory &mem = model.mems[mem2];
+        expr::ConcreteMemory &mem = model.memOf(mem2);
         wordLog.push_back({addr, mem.contains(addr), mem.load(addr)});
         mem.storeWord(addr, v);
     }
@@ -115,7 +119,7 @@ class ModelEdit
 
   private:
     struct BvUndo {
-        const std::string *name;
+        std::uint32_t slot;
         bool existed;
         std::uint64_t old;
     };
@@ -130,13 +134,13 @@ class ModelEdit
     {
         for (auto u = bvLog.rbegin(); u != bvLog.rend(); ++u) {
             if (u->existed)
-                model.bvVars.find(*u->name)->second = u->old;
+                model.bvVars[u->slot] = u->old;
             else
-                model.bvVars.erase(*u->name);
+                model.bvVars.erase(u->slot);
         }
         if (wordLog.empty())
             return;
-        expr::ConcreteMemory &mem = model.mems.find(mem2)->second;
+        expr::ConcreteMemory &mem = model.memOf(mem2);
         for (auto u = wordLog.rbegin(); u != wordLog.rend(); ++u) {
             if (u->existed)
                 mem.storeWord(u->addr, u->old);
@@ -146,34 +150,47 @@ class ModelEdit
     }
 
     expr::Assignment &model;
-    const std::string &mem2 = harness::stateNames("_2").mem;
+    Expr mem2;
     std::vector<BvUndo> bvLog;
     std::vector<WordUndo> wordLog;
 };
 
-/** Register variables of both states, for model blocking. */
+/** The used registers' (s1, s2) variables as one list, the variables
+ *  each enumerator blocks on. */
 std::vector<Expr>
-blockingVars(ExprContext &ctx, const bir::Program &program)
+blockingVars(const ModelVars &vars)
 {
-    const harness::StateNames &s1 = harness::stateNames("_1");
-    const harness::StateNames &s2 = harness::stateNames("_2");
-    std::vector<Expr> vars;
-    for (bir::Reg r : program.usedRegs()) {
-        vars.push_back(ctx.bvVar(s1.regs[r]));
-        vars.push_back(ctx.bvVar(s2.regs[r]));
+    std::vector<Expr> flat;
+    for (const auto &[r1, r2] : vars.usedRegs) {
+        flat.push_back(r1);
+        flat.push_back(r2);
     }
-    return vars;
+    return flat;
 }
 
 } // namespace
 
+ModelVars
+modelVars(const ExprContext &ctx, const bir::Program &program)
+{
+    ModelVars vars{harness::stateVars(ctx, "_1"),
+                   harness::stateVars(ctx, "_2"),
+                   {}};
+    SCAMV_ASSERT(vars.s1.mem && vars.s2.mem,
+                 "modelVars: a state has no memory variable");
+    for (bir::Reg r : program.usedRegs()) {
+        SCAMV_ASSERT(vars.s1.regs[r] && vars.s2.regs[r],
+                     "modelVars: a used register has no variable");
+        vars.usedRegs.emplace_back(vars.s1.regs[r], vars.s2.regs[r]);
+    }
+    return vars;
+}
+
 void
-symmetrizeModel(Expr formula, const bir::Program &program,
+symmetrizeModel(Expr formula, const ModelVars &vars,
                 expr::Assignment &model, Rng &rng, double bias)
 {
-    const harness::StateNames &s1 = harness::stateNames("_1");
-    const harness::StateNames &s2 = harness::stateNames("_2");
-    ModelEdit edit(model);
+    ModelEdit edit(model, vars.s2.mem);
     auto try_merge = [&](auto mutate) {
         if (!rng.chance(bias))
             return;
@@ -183,8 +200,8 @@ symmetrizeModel(Expr formula, const bir::Program &program,
 
     // s1's memory words, in the map's order (s1 is never edited).
     std::vector<std::pair<std::uint64_t, std::uint64_t>> mem1_cells;
-    if (auto m1 = model.mems.find(s1.mem); m1 != model.mems.end())
-        for (const auto &[addr, val] : m1->second.entries())
+    if (const expr::ConcreteMemory *m1 = model.mem(vars.s1.mem))
+        for (const auto &[addr, val] : m1->entries())
             mem1_cells.emplace_back(addr, val);
 
     // Wholesale merge first: s2 := s1.  Relations without refinement
@@ -192,24 +209,21 @@ symmetrizeModel(Expr formula, const bir::Program &program,
     // baseline; refinement disequalities reject it, and the per-
     // component passes below then remove only incidental asymmetry.
     try_merge([&](ModelEdit &e) {
-        for (bir::Reg r : program.usedRegs())
-            e.setBv(s2.regs[r], model.bv(s1.regs[r]));
+        for (const auto &[r1, r2] : vars.usedRegs)
+            e.setBv(r2, model.bv(r1));
         for (const auto &[addr, val] : mem1_cells)
             e.storeMem2(addr, val);
     });
 
-    for (bir::Reg r : program.usedRegs()) {
-        if (model.bv(s1.regs[r]) == model.bv(s2.regs[r]))
+    for (const auto &[r1, r2] : vars.usedRegs) {
+        if (model.bv(r1) == model.bv(r2))
             continue;
-        try_merge([&](ModelEdit &e) {
-            e.setBv(s2.regs[r], model.bv(s1.regs[r]));
-        });
+        try_merge([&](ModelEdit &e) { e.setBv(r2, model.bv(r1)); });
     }
 
     for (const auto &[a, v] : mem1_cells) {
-        auto m2 = model.mems.find(s2.mem);
-        if (m2 != model.mems.end() && m2->second.contains(a) &&
-            m2->second.load(a) == v)
+        const expr::ConcreteMemory *m2 = model.mem(vars.s2.mem);
+        if (m2 && m2->contains(a) && m2->load(a) == v)
             continue;
         try_merge([&](ModelEdit &e) { e.storeMem2(a, v); });
     }
@@ -441,7 +455,9 @@ struct Solving {
             const Related &r, std::vector<bool> class_mask)
         : ctx(c), program(prep.program), related(r),
           pairs(r.relation->pairs()), perPair(pairs.size()),
-          blockVars(blockingVars(c, prep.program)),
+          vars(modelVars(c, prep.program)), blockVars(blockingVars(vars)),
+          trainVars(env.cfg.train ? harness::stateVars(c, "_t")
+                                  : harness::StateVars{}),
           classMask(std::move(class_mask)), rng(env.seed ^ 0xc0ffeeULL)
     {}
 
@@ -450,7 +466,9 @@ struct Solving {
     const Related &related;
     const std::vector<rel::PathPair> &pairs;
     std::vector<PairState> perPair;
+    ModelVars vars;              ///< s1's and s2's variables
     std::vector<Expr> blockVars; ///< register variables of both states
+    harness::StateVars trainVars; ///< the training state's variables
     std::vector<bool> classMask;
     /** Training inputs, keyed by s1-path index. */
     std::unordered_map<int, std::optional<harness::ProgramInput>>
@@ -623,7 +641,7 @@ drawModel(const TaskEnv &env, Solving &s, std::size_t idx)
         if (!d.model && retire && !fault_failed)
             ps.dead = true;
         if (d.model && cfg.strategy == SolveStrategy::Canonical)
-            symmetrizeModel(ps.formula, s.program, *d.model, s.rng,
+            symmetrizeModel(ps.formula, s.vars, *d.model, s.rng,
                             cfg.similarityBias);
     }
     // Per-atom cost: the whole solve (including redraws) is charged
@@ -652,8 +670,8 @@ measure(const TaskEnv &env, Solving &s, harness::Platform &platform,
     const rel::PathPair &pair = s.pairs[idx];
     const rel::RelationSynthesizer &relation = *s.related.relation;
     Measured m;
-    m.tc.s1 = harness::inputFromAssignment(*d.model, "_1");
-    m.tc.s2 = harness::inputFromAssignment(*d.model, "_2");
+    m.tc.s1 = harness::inputFromAssignment(*d.model, s.vars.s1);
+    m.tc.s2 = harness::inputFromAssignment(*d.model, s.vars.s2);
     if (cfg.train) {
         auto [it, fresh] = s.training.try_emplace(pair.idx1);
         if (fresh) {
@@ -665,7 +683,8 @@ measure(const TaskEnv &env, Solving &s, harness::Platform &platform,
                     s.ctx, *formula, cfg.conflictBudget, cfg.queryCache);
                 if (solved.outcome == smt::Outcome::Sat)
                     it->second =
-                        harness::inputFromAssignment(*solved.model, "_t");
+                        harness::inputFromAssignment(*solved.model,
+                                                     s.trainVars);
             }
         }
         m.training = it->second;

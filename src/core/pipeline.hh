@@ -51,6 +51,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/expdb.hh"
@@ -515,6 +516,24 @@ RunStats mergeCampaignOutcomes(const PipelineConfig &cfg,
  */
 std::uint64_t deriveProgramSeed(std::uint64_t seed, int prog_i);
 
+/** The solver variables of a program's two test-case states. */
+struct ModelVars {
+    harness::StateVars s1;
+    harness::StateVars s2;
+    /** (s1, s2) variables of each register the program uses, in
+     *  ascending register order. */
+    std::vector<std::pair<expr::Expr, expr::Expr>> usedRegs;
+};
+
+/**
+ * @return the ModelVars of `program` in `ctx`, resolved once per
+ * program and without interning (harness::stateVars).  Both states
+ * must have a memory variable and one for every register the program
+ * uses, as symbolic execution of the two states leaves them.
+ */
+ModelVars modelVars(const expr::ExprContext &ctx,
+                    const bir::Program &program);
+
 /**
  * Canonical-model symmetrization (see PipelineConfig::similarityBias):
  * greedily copy s1's registers and memory words into s2 wherever
@@ -522,7 +541,7 @@ std::uint64_t deriveProgramSeed(std::uint64_t seed, int prog_i);
  * (path conditions, refinement disequalities) survive; incidental
  * solver asymmetry is removed with probability `bias` per component.
  */
-void symmetrizeModel(expr::Expr formula, const bir::Program &program,
+void symmetrizeModel(expr::Expr formula, const ModelVars &vars,
                      expr::Assignment &model, Rng &rng, double bias);
 
 /**

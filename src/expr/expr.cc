@@ -85,6 +85,9 @@ ExprContext::intern(Kind kind, Sort sort, std::uint64_t value,
     if (it != interned.end())
         return *it;
     node->id = nodes.size();
+    if (kind == Kind::BvVar || kind == Kind::BoolVar ||
+        kind == Kind::MemVar)
+        node->slot = slotCounts[static_cast<std::size_t>(sort)]++;
     Expr result = node.get();
     nodes.push_back(std::move(node));
     interned.insert(result);
@@ -121,6 +124,20 @@ Expr
 ExprContext::memVar(const std::string &name)
 {
     return intern(Kind::MemVar, Sort::Mem, 0, name, {});
+}
+
+Expr
+ExprContext::findVar(Kind kind, const std::string &name) const
+{
+    SCAMV_ASSERT(kind == Kind::BvVar || kind == Kind::BoolVar ||
+                     kind == Kind::MemVar,
+                 "findVar: not a variable kind");
+    Node probe;
+    probe.kind = kind;
+    probe.value = 0;
+    probe.name = name;
+    auto it = interned.find(&probe);
+    return it == interned.end() ? nullptr : *it;
 }
 
 namespace {

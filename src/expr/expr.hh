@@ -18,6 +18,7 @@
 #ifndef SCAMV_EXPR_EXPR_HH
 #define SCAMV_EXPR_EXPR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -77,6 +78,13 @@ class Node
   public:
     Kind kind;
     Sort sort;
+    /**
+     * Variable slot: a dense per-sort index in creation order, given
+     * to BvVar/BoolVar/MemVar leaves (0 for every other node).  An
+     * Assignment stores a variable's value at its slot.  It sits in
+     * the padding after `sort`, so it costs no space.
+     */
+    std::uint32_t slot = 0;
     /** Creation-order id: deterministic operand canonicalization. */
     std::uint64_t id;
     /** Constant value or unused (vars carry their name instead). */
@@ -123,6 +131,14 @@ class ExprContext
     Expr boolVar(const std::string &name);
     /** Named memory variable. */
     Expr memVar(const std::string &name);
+    /**
+     * @return the variable of kind `kind` (BvVar, BoolVar or MemVar)
+     * called `name`, or nullptr when the context holds none.  Unlike
+     * the builders above it never interns: a new node would shift the
+     * creation ids, and with them operand order and SAT variable
+     * order.
+     */
+    Expr findVar(Kind kind, const std::string &name) const;
 
     // ---- Bitvector operators -----------------------------------------
     Expr add(Expr a, Expr b);
@@ -178,6 +194,8 @@ class ExprContext
     Expr cachedTrue = nullptr;
     Expr cachedFalse = nullptr;
     Expr cachedZero = nullptr;
+    /** Next free variable slot, per Sort. */
+    std::uint32_t slotCounts[3] = {0, 0, 0};
 };
 
 /** Collect all variable leaves (Bv/Bool/Mem vars) reachable from e. */

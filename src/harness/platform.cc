@@ -6,35 +6,30 @@
 #include "support/faults.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "sym/symexec.hh"
 
 namespace scamv::harness {
 
-const StateNames &
-stateNames(const std::string &suffix)
+StateVars
+stateVars(const expr::ExprContext &ctx, const std::string &suffix)
 {
-    thread_local std::vector<std::unique_ptr<StateNames>> known;
-    for (const auto &n : known)
-        if (n->suffix == suffix)
-            return *n;
-    auto n = std::make_unique<StateNames>();
-    n->suffix = suffix;
+    const sym::SymNames names{suffix};
+    StateVars vars;
     for (int r = 0; r < bir::kNumRegs; ++r)
-        n->regs[r] = "x" + std::to_string(r) + suffix;
-    n->mem = "mem" + suffix;
-    known.push_back(std::move(n));
-    return *known.back();
+        vars.regs[r] = ctx.findVar(expr::Kind::BvVar, names.reg(r));
+    vars.mem = ctx.findVar(expr::Kind::MemVar, names.mem());
+    return vars;
 }
 
 ProgramInput
-inputFromAssignment(const expr::Assignment &a, const std::string &suffix)
+inputFromAssignment(const expr::Assignment &a, const StateVars &vars)
 {
-    const StateNames &names = stateNames(suffix);
     ProgramInput input;
     for (int r = 0; r < bir::kNumRegs; ++r)
-        input.regs.regs[r] = a.bv(names.regs[r]);
-    auto mit = a.mems.find(names.mem);
-    if (mit != a.mems.end()) {
-        const auto &words = mit->second.entries();
+        input.regs.regs[r] = vars.regs[r] ? a.bv(vars.regs[r]) : 0;
+    if (const expr::ConcreteMemory *mem = vars.mem ? a.mem(vars.mem)
+                                                   : nullptr) {
+        const auto &words = mem->entries();
         input.mem.assign(words.begin(), words.end());
         std::sort(input.mem.begin(), input.mem.end());
     }

@@ -64,29 +64,34 @@ struct TestCase {
     bool operator==(const TestCase &) const = default;
 };
 
-/** Solver variable names of one state: "x<i><suffix>" per register
- *  and "mem<suffix>". */
-struct StateNames {
-    std::string suffix;
-    std::array<std::string, bir::kNumRegs> regs;
-    std::string mem;
+/**
+ * Solver variables of one state: register i is the bv variable
+ * "x<i><suffix>" and memory the memory variable "mem<suffix>" (the
+ * sym::SymNames scheme).  Resolved once per program context; an entry
+ * is nullptr where the context holds no such variable, which reads
+ * as 0 like a variable the model leaves unset.
+ */
+struct StateVars {
+    std::array<expr::Expr, bir::kNumRegs> regs{};
+    expr::Expr mem = nullptr;
 };
 
 /**
- * @return the names for `suffix`, built on the first call per suffix
- * and thread and valid for the thread's lifetime (the pipeline uses
- * three suffixes: "_1", "_2" and "_t").
+ * @return the variables of the state named by `suffix` in `ctx`
+ * ("_1", "_2" or "_t" in the pipeline), found without interning: a
+ * new node would shift creation ids, and with them operand order and
+ * SAT variable order.
  */
-const StateNames &stateNames(const std::string &suffix);
+StateVars stateVars(const expr::ExprContext &ctx,
+                    const std::string &suffix);
 
 /**
- * Convert a solver model into the ProgramInput for one state: register
- * variables named "x<i><suffix>" and memory variable "mem<suffix>",
- * whose words are sorted by address (the one place that decides
+ * Convert a solver model into the ProgramInput for one state, whose
+ * memory words are sorted by address (the one place that decides
  * test-case memory order).
  */
 ProgramInput inputFromAssignment(const expr::Assignment &a,
-                                 const std::string &suffix);
+                                 const StateVars &vars);
 
 /** Experiment classification (Section 2.3 / 6.1). */
 enum class Verdict {

@@ -121,7 +121,8 @@ RelationSynthesizer::formulaFor(const PathPair &pair) const
     // the two states, so a satisfying assignment can only blame the
     // secrets for the observation difference.
     for (bir::Reg r : cfg.lowRegs) {
-        const std::string name = "x" + std::to_string(r);
+        std::string name = "x";
+        name += std::to_string(r);
         f = ctx.land(f, ctx.eq(ctx.bvVar(name + cfg.suffix1),
                                ctx.bvVar(name + cfg.suffix2)));
     }

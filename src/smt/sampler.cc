@@ -56,7 +56,7 @@ RepairSampler::initAssignment(Assignment &a)
     a.boolVars.clear();
     a.mems.clear();
     for (Expr v : bvVars)
-        a.bvVars[v->name] = randomValue();
+        a.setBv(v, randomValue());
 }
 
 void
@@ -70,7 +70,7 @@ RepairSampler::seedMemoryCells(Assignment &a)
                 while (mem->kind == Kind::Store)
                     mem = mem->kids[0];
                 const std::uint64_t addr = expr::evalBv(r->kids[1], a);
-                auto &m = a.mems[mem->name];
+                expr::ConcreteMemory &m = a.memOf(mem);
                 if (!m.contains(addr))
                     m.storeWord(addr, randomValue());
             }
@@ -83,7 +83,7 @@ RepairSampler::forceValue(Expr term, std::uint64_t value, Assignment &a)
 {
     switch (term->kind) {
       case Kind::BvVar:
-        a.bvVars[term->name] = value;
+        a.setBv(term, value);
         return true;
       case Kind::Add: {
         // Solve for whichever side is forcible.
@@ -105,7 +105,7 @@ RepairSampler::forceValue(Expr term, std::uint64_t value, Assignment &a)
         while (mem->kind == Kind::Store)
             mem = mem->kids[0];
         const std::uint64_t addr = expr::evalBv(term->kids[1], a);
-        a.mems[mem->name].storeWord(addr, value);
+        a.memOf(mem).storeWord(addr, value);
         return true;
       }
       case Kind::Ite: {
@@ -159,14 +159,14 @@ RepairSampler::mutateSomething(Expr e, Assignment &a)
         Expr v = rng.pick(vars);
         switch (rng.below(3)) {
           case 0:
-            a.bvVars[v->name] = randomValue();
+            a.setBv(v, randomValue());
             break;
           case 1:
-            a.bvVars[v->name] ^= 1ULL << rng.below(16);
+            a.bvVars[v->slot] ^= 1ULL << rng.below(16);
             break;
           default:
             // Copy another variable's value (creates equalities).
-            a.bvVars[v->name] = a.bv(rng.pick(vars)->name);
+            a.setBv(v, a.bv(rng.pick(vars)));
             break;
         }
     }
@@ -183,7 +183,7 @@ RepairSampler::trySatisfy(Expr e, bool want, Assignment &a, int depth)
       case Kind::BoolConst:
         return (e->value != 0) == want;
       case Kind::BoolVar:
-        a.boolVars[e->name] = want;
+        a.setBool(e, want);
         return true;
       case Kind::Not:
         return trySatisfy(e->kids[0], !want, a, depth + 1);

@@ -232,14 +232,14 @@ SmtSolver::model()
     expr::Assignment a;
     for (Expr v : seenVars) {
         if (v->kind == Kind::BvVar)
-            a.bvVars[v->name] = blaster.bvModel(v);
+            a.setBv(v, blaster.bvModel(v));
         else if (v->kind == Kind::BoolVar)
-            a.boolVars[v->name] = blaster.boolModel(v);
+            a.setBool(v, blaster.boolModel(v));
     }
     for (const ReadInfo &r : reads) {
         const std::uint64_t addr = addressModel(r.addr);
         const std::uint64_t val = blaster.bvModel(r.fresh);
-        a.mems[r.memVar->name].storeWord(addr, val);
+        a.memOf(r.memVar).storeWord(addr, val);
     }
     return a;
 }
@@ -252,9 +252,9 @@ SmtSolver::addressModel(Expr addr)
     expr::Assignment leaves;
     for (Expr v : expr::collectVars(addr)) {
         if (v->kind == Kind::BvVar)
-            leaves.bvVars[v->name] = blaster.bvModel(v);
+            leaves.setBv(v, blaster.bvModel(v));
         else if (v->kind == Kind::BoolVar)
-            leaves.boolVars[v->name] = blaster.boolModel(v);
+            leaves.setBool(v, blaster.boolModel(v));
     }
     return expr::evalBv(addr, leaves);
 }

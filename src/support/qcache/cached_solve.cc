@@ -165,9 +165,13 @@ CachedEnumerator::CachedEnumerator(expr::ExprContext &ctx_,
     // canonical identity of every blocked variable, in order.
     chainSalt = mixKey(kChainSalt,
                        static_cast<std::uint64_t>(blockBits));
-    for (Expr v : blockVars)
+    for (Expr v : blockVars) {
+        const int index = canonicalIndex(form, v);
+        SCAMV_ASSERT(index >= 0, "qcache: blocked variable not indexed");
         chainSalt = mixKey(chainSalt,
-                           linecodec::fnv1a(form.toCanon.at(v->name)));
+                           linecodec::fnv1a(canonicalName(
+                               v->sort, static_cast<std::uint32_t>(index))));
+    }
 }
 
 Key

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "expr/node_table.hh"
+#include "support/logging.hh"
+
 namespace scamv::qcache {
 
 using expr::Expr;
@@ -64,31 +67,26 @@ kindTag(Expr e)
            static_cast<std::uint64_t>(e->sort);
 }
 
-/** Name-blind structural hash (memoized per node). */
-std::uint64_t
-shapeOf(Expr e, std::unordered_map<Expr, std::uint64_t> &memo)
+/** @return the form's variable list of `sort` (const or not). */
+template <class Form>
+auto &
+varsOfSort(Form &form, expr::Sort sort)
 {
-    if (auto it = memo.find(e); it != memo.end())
-        return it->second;
-    std::uint64_t h = mixKey(kSeedShape, kindTag(e));
-    if (e->isConst()) {
-        h = mixKey(h, e->value);
-    } else if (!isVar(e)) {
-        std::vector<std::uint64_t> kid_hashes;
-        kid_hashes.reserve(e->kids.size());
-        for (Expr kid : e->kids)
-            kid_hashes.push_back(shapeOf(kid, memo));
-        if (isCommutative(e->kind))
-            std::stable_sort(kid_hashes.begin(), kid_hashes.end());
-        for (std::uint64_t kh : kid_hashes)
-            h = mixKey(h, kh);
-        h = mixKey(h, kid_hashes.size());
-    }
-    memo.emplace(e, h);
-    return h;
+    return sort == expr::Sort::Bv     ? form.bvs
+           : sort == expr::Sort::Bool ? form.bools
+                                      : form.mems;
 }
 
-/** Per-kind alpha index of a variable (see assignAlpha). */
+/** One node's hashes across the two walks of canonicalize(). */
+struct NodeHashes {
+    std::uint64_t shape = 0; ///< name-blind structural hash
+    std::uint64_t fp = 0;    ///< fingerprint lane
+    std::uint64_t hi = 0;    ///< semantic key lanes (once semDone)
+    std::uint64_t lo = 0;
+    bool semDone = false;
+};
+
+/** Per-kind alpha index of a variable, in first-encounter order. */
 struct AlphaCounters {
     std::uint64_t bv = 0;
     std::uint64_t bool_ = 0;
@@ -106,67 +104,139 @@ struct AlphaCounters {
 };
 
 /**
- * Walk the DAG once (each node visited at first encounter) in the
- * order defined by `kids_of`, assigning per-kind indices to variable
- * leaves in encounter order.
+ * The two memoized DFS walks of one formula.
+ *
+ * Both walks expand every node at its first encounter and visit kids
+ * in a fixed order, so a variable's alpha index (its per-kind rank in
+ * first-encounter order) can be assigned as the walk reaches it.
+ *
+ *  - The original-order walk computes the name-blind shape hash
+ *    (commutative kid hashes sorted, so reordered operands agree) and
+ *    the fingerprint lane, with alpha indices from this walk.
+ *  - The shape-sorted walk visits a commutative node's kids stably
+ *    sorted by shape and computes both semantic key lanes, with alpha
+ *    indices from this walk; these are the canonical indices, and the
+ *    walk appends each variable to the form's list of its sort.
+ *
+ * The shape-sorted walk only reads the table the first walk filled,
+ * so pointers into it stay valid across its recursion.
  */
-template <class KidsOf>
-void
-assignAlpha(Expr root, KidsOf &&kids_of,
-            std::unordered_map<Expr, std::uint64_t> &index)
+class Canonicalizer
 {
-    AlphaCounters counters;
-    std::unordered_map<Expr, bool> visited;
-    auto dfs = [&](auto &&self, Expr e) -> void {
-        if (visited.count(e))
-            return;
-        visited.emplace(e, true);
-        if (isVar(e)) {
-            index.emplace(e, counters.next(e->kind));
-            return;
-        }
-        for (Expr kid : kids_of(e))
-            self(self, kid);
-    };
-    dfs(dfs, root);
-}
+  public:
+    explicit Canonicalizer(CanonForm &form) : form(form)
+    {
+        table.begin();
+    }
 
-/**
- * Merkle hash of the DAG under `kids_of` ordering, with variables
- * contributing their alpha index instead of their name.
- */
-template <class KidsOf>
-std::uint64_t
-merkle(Expr root, std::uint64_t seed, KidsOf &&kids_of,
-       const std::unordered_map<Expr, std::uint64_t> &index)
-{
-    std::unordered_map<Expr, std::uint64_t> memo;
-    auto walk = [&](auto &&self, Expr e) -> std::uint64_t {
-        if (auto it = memo.find(e); it != memo.end())
-            return it->second;
-        std::uint64_t h = mixKey(seed, kindTag(e));
+    void
+    run(Expr formula)
+    {
+        form.fingerprint = original(formula).fp;
+        const NodeHashes &root = sorted(formula);
+        form.key.hi = root.hi;
+        form.key.lo = root.lo;
+    }
+
+  private:
+    NodeHashes
+    original(Expr e)
+    {
+        if (const NodeHashes *hit = table.find(e))
+            return *hit;
+        NodeHashes n;
+        n.shape = mixKey(kSeedShape, kindTag(e));
+        n.fp = mixKey(kSeedFp, kindTag(e));
         if (e->isConst()) {
-            h = mixKey(h, e->value);
+            n.shape = mixKey(n.shape, e->value);
+            n.fp = mixKey(n.fp, e->value);
         } else if (isVar(e)) {
-            h = mixKey(h, index.at(e));
+            n.fp = mixKey(n.fp, fpAlpha.next(e->kind));
         } else {
-            for (Expr kid : kids_of(e))
-                h = mixKey(h, self(self, kid));
-            h = mixKey(h, e->kids.size());
+            std::uint64_t kid_shapes[3];
+            const std::size_t nk = e->kids.size();
+            SCAMV_ASSERT(nk <= 3, "canonicalize: node with > 3 kids");
+            for (std::size_t i = 0; i < nk; ++i) {
+                const NodeHashes k = original(e->kids[i]);
+                kid_shapes[i] = k.shape;
+                n.fp = mixKey(n.fp, k.fp);
+            }
+            if (isCommutative(e->kind))
+                std::stable_sort(kid_shapes, kid_shapes + nk);
+            for (std::size_t i = 0; i < nk; ++i)
+                n.shape = mixKey(n.shape, kid_shapes[i]);
+            n.shape = mixKey(n.shape, nk);
+            n.fp = mixKey(n.fp, nk);
         }
-        memo.emplace(e, h);
-        return h;
-    };
-    return walk(walk, root);
+        return table.insert(e, n);
+    }
+
+    const NodeHashes &
+    sorted(Expr e)
+    {
+        NodeHashes &n = *table.find(e);
+        if (n.semDone)
+            return n;
+        n.hi = mixKey(kSeedLaneHi, kindTag(e));
+        n.lo = mixKey(kSeedLaneLo, kindTag(e));
+        if (e->isConst()) {
+            n.hi = mixKey(n.hi, e->value);
+            n.lo = mixKey(n.lo, e->value);
+        } else if (isVar(e)) {
+            std::vector<Expr> &vars = varsOfSort(form, e->sort);
+            n.hi = mixKey(n.hi, vars.size());
+            n.lo = mixKey(n.lo, vars.size());
+            vars.push_back(e);
+        } else {
+            const std::size_t nk = e->kids.size();
+            SCAMV_ASSERT(!isCommutative(e->kind) || nk == 2,
+                         "canonicalize: commutative node without two "
+                         "kids");
+            // Stable sort by shape: with the two kids every
+            // commutative builder makes, a swap on strictly smaller.
+            const bool swap = isCommutative(e->kind) &&
+                              table.find(e->kids[1])->shape <
+                                  table.find(e->kids[0])->shape;
+            for (std::size_t i = 0; i < nk; ++i) {
+                const NodeHashes &k = sorted(e->kids[swap ? nk - 1 - i : i]);
+                n.hi = mixKey(n.hi, k.hi);
+                n.lo = mixKey(n.lo, k.lo);
+            }
+            n.hi = mixKey(n.hi, nk);
+            n.lo = mixKey(n.lo, nk);
+        }
+        n.semDone = true;
+        return n;
+    }
+
+    CanonForm &form;
+    AlphaCounters fpAlpha;
+    /** The calling thread's table, restarted per canonicalization. */
+    static thread_local expr::NodeTable<NodeHashes> table;
+};
+
+thread_local expr::NodeTable<NodeHashes> Canonicalizer::table;
+
+/** Copy `from`'s values at the variables' slots to their indices. */
+template <class T>
+void
+slotsToIndices(const std::vector<Expr> &vars,
+               const expr::SlotValues<T> &from, expr::SlotValues<T> &to)
+{
+    for (std::uint32_t i = 0; i < vars.size(); ++i)
+        if (const T *v = from.find(vars[i]->slot))
+            to[i] = *v;
 }
 
-std::string
-canonicalName(Kind k, std::uint64_t index)
+/** Copy `from`'s values at the variables' indices to their slots. */
+template <class T>
+void
+indicesToSlots(const std::vector<Expr> &vars,
+               const expr::SlotValues<T> &from, expr::SlotValues<T> &to)
 {
-    const char *prefix = k == Kind::BvVar   ? "v"
-                         : k == Kind::BoolVar ? "b"
-                                              : "m";
-    return prefix + std::to_string(index);
+    for (std::uint32_t i = 0; i < vars.size(); ++i)
+        if (const T *v = from.find(i))
+            to[vars[i]->slot] = *v;
 }
 
 } // namespace
@@ -175,123 +245,54 @@ CanonForm
 canonicalize(Expr formula)
 {
     CanonForm form;
-
-    std::unordered_map<Expr, std::uint64_t> shape_memo;
-    shapeOf(formula, shape_memo);
-
-    // Shape-sorted operand order: commutative operands stable-sorted
-    // by their name-blind shape hash (ties keep original order), so
-    // genuinely reordered formulas traverse isomorphically.
-    std::unordered_map<Expr, std::vector<Expr>> sorted_memo;
-    auto sorted_kids = [&](Expr e) -> const std::vector<Expr> & {
-        if (!isCommutative(e->kind))
-            return e->kids;
-        auto it = sorted_memo.find(e);
-        if (it == sorted_memo.end()) {
-            std::vector<Expr> kids = e->kids;
-            std::stable_sort(kids.begin(), kids.end(),
-                             [&](Expr a, Expr b) {
-                                 return shape_memo.at(a) <
-                                        shape_memo.at(b);
-                             });
-            it = sorted_memo.emplace(e, std::move(kids)).first;
-        }
-        return it->second;
-    };
-    auto original_kids = [](Expr e) -> const std::vector<Expr> & {
-        return e->kids;
-    };
-
-    // Semantic key: alpha indices from the shape-sorted traversal,
-    // hashed in shape-sorted order through two independent lanes.
-    std::unordered_map<Expr, std::uint64_t> sem_index;
-    assignAlpha(formula, sorted_kids, sem_index);
-    form.key.hi = merkle(formula, kSeedLaneHi, sorted_kids, sem_index);
-    form.key.lo = merkle(formula, kSeedLaneLo, sorted_kids, sem_index);
-
-    // Exactness fingerprint: alpha indices from the original-order
-    // traversal, hashed in original operand order.
-    std::unordered_map<Expr, std::uint64_t> fp_index;
-    assignAlpha(formula, original_kids, fp_index);
-    form.fingerprint =
-        merkle(formula, kSeedFp, original_kids, fp_index);
-
-    // Name maps follow the semantic (shape-sorted) assignment so that
-    // canonical model slots correspond across alpha-equivalent
-    // formulas.
-    for (const auto &[node, index] : sem_index) {
-        const std::string canon = canonicalName(node->kind, index);
-        form.toCanon.emplace(node->name, canon);
-        form.toOrig.emplace(canon, node->name);
-        switch (node->kind) {
-          case Kind::BvVar:
-            form.nextBv = std::max(form.nextBv,
-                                   static_cast<int>(index) + 1);
-            break;
-          case Kind::BoolVar:
-            form.nextBool = std::max(form.nextBool,
-                                     static_cast<int>(index) + 1);
-            break;
-          default:
-            form.nextMem = std::max(form.nextMem,
-                                    static_cast<int>(index) + 1);
-            break;
-        }
-    }
+    Canonicalizer(form).run(formula);
     return form;
+}
+
+int
+canonicalIndex(const CanonForm &form, Expr v)
+{
+    const std::vector<Expr> &vars = varsOfSort(form, v->sort);
+    const auto it = std::find(vars.begin(), vars.end(), v);
+    return it == vars.end() ? -1 : static_cast<int>(it - vars.begin());
+}
+
+std::string
+canonicalName(expr::Sort sort, std::uint32_t index)
+{
+    std::string name = sort == expr::Sort::Bv     ? "v"
+                       : sort == expr::Sort::Bool ? "b"
+                                                  : "m";
+    name += std::to_string(index);
+    return name;
 }
 
 void
 extendVars(CanonForm &form, const std::vector<Expr> &vars)
 {
-    for (Expr v : vars) {
-        if (form.toCanon.count(v->name))
-            continue;
-        int index = 0;
-        switch (v->kind) {
-          case Kind::BvVar: index = form.nextBv++; break;
-          case Kind::BoolVar: index = form.nextBool++; break;
-          default: index = form.nextMem++; break;
-        }
-        const std::string canon =
-            canonicalName(v->kind, static_cast<std::uint64_t>(index));
-        form.toCanon.emplace(v->name, canon);
-        form.toOrig.emplace(canon, v->name);
-    }
+    for (Expr v : vars)
+        if (canonicalIndex(form, v) < 0)
+            varsOfSort(form, v->sort).push_back(v);
 }
 
-namespace {
-
-expr::Assignment
-translate(const std::unordered_map<std::string, std::string> &names,
-          const expr::Assignment &a)
-{
-    auto rename = [&](const std::string &name) -> const std::string & {
-        auto it = names.find(name);
-        return it == names.end() ? name : it->second;
-    };
-    expr::Assignment out;
-    for (const auto &[name, v] : a.bvVars)
-        out.bvVars[rename(name)] = v;
-    for (const auto &[name, v] : a.boolVars)
-        out.boolVars[rename(name)] = v;
-    for (const auto &[name, mem] : a.mems)
-        out.mems[rename(name)] = mem;
-    return out;
-}
-
-} // namespace
-
-expr::Assignment
+CanonModel
 toCanonical(const CanonForm &form, const expr::Assignment &a)
 {
-    return translate(form.toCanon, a);
+    CanonModel m;
+    slotsToIndices(form.bvs, a.bvVars, m.bvVars);
+    slotsToIndices(form.bools, a.boolVars, m.boolVars);
+    slotsToIndices(form.mems, a.mems, m.mems);
+    return m;
 }
 
 expr::Assignment
-toOriginal(const CanonForm &form, const expr::Assignment &a)
+toOriginal(const CanonForm &form, const CanonModel &m)
 {
-    return translate(form.toOrig, a);
+    expr::Assignment a;
+    indicesToSlots(form.bvs, m.bvVars, a.bvVars);
+    indicesToSlots(form.bools, m.boolVars, a.boolVars);
+    indicesToSlots(form.mems, m.mems, a.mems);
+    return a;
 }
 
 } // namespace scamv::qcache

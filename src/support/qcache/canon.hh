@@ -22,15 +22,21 @@
  *    over the original order.  Two formulas with equal keys and equal
  *    fingerprints are structurally identical up to variable names —
  *    they bit-blast to the same CNF, so one's solver trajectory (and
- *    model, after name translation) is an exact replay of the other's.
+ *    model, after index translation) is an exact replay of the other's.
  *    Equal keys with different fingerprints mark "semantic cousins"
  *    whose CDCL trajectories could diverge; the cache treats those as
  *    misses, which keeps hit-vs-miss from ever changing results.
  *
- * Name translation between the original formula and the canonical
- * namespace (`v<i>`/`b<i>`/`m<i>` for bv/bool/mem variables) is
- * captured in the returned CanonForm so cached models can be stored
- * canonically and replayed into any alpha-equivalent formula.
+ * The returned CanonForm lists, per variable kind, the formula's
+ * variable nodes in canonical-index order, so cached models are stored
+ * by canonical index (a CanonModel) and replayed into any
+ * alpha-equivalent formula by an index loop over those nodes' slots.
+ * The canonical names `v<i>`/`b<i>`/`m<i>` (bv/bool/mem variable i)
+ * exist only where something is written out: the checkpoint records
+ * and the enumerator's chain salt, which hashes their text.
+ *
+ * The walks memoize per node in thread-local expr::NodeTables, so a
+ * canonicalization allocates only the vectors it returns.
  */
 
 #ifndef SCAMV_SUPPORT_QCACHE_CANON_HH
@@ -38,7 +44,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "expr/eval.hh"
@@ -69,39 +74,53 @@ std::uint64_t splitmix64(std::uint64_t x);
 /** Order-sensitive combination of two words (splitmix64-based). */
 std::uint64_t mixKey(std::uint64_t a, std::uint64_t b);
 
-/** Canonical form of one formula: key, fingerprint, name maps. */
+/** Canonical form of one formula: key, fingerprint, variables. */
 struct CanonForm {
     Key key;
     std::uint64_t fingerprint = 0;
-    /** Original variable name -> canonical name (v<i>/b<i>/m<i>). */
-    std::unordered_map<std::string, std::string> toCanon;
-    /** Canonical name -> original variable name. */
-    std::unordered_map<std::string, std::string> toOrig;
-    /** Next free canonical index per variable kind (see extendVars). */
-    int nextBv = 0;
-    int nextBool = 0;
-    int nextMem = 0;
+    /** Variable nodes in canonical-index order, per kind: `bvs[i]`
+     *  is canonical variable v<i>, `bools[i]` b<i>, `mems[i]` m<i>. */
+    std::vector<expr::Expr> bvs;
+    std::vector<expr::Expr> bools;
+    std::vector<expr::Expr> mems;
+};
+
+/**
+ * A model in canonical indices: `bvVars[i]` is the value of the
+ * form's `bvs[i]`, and likewise for bools and memories.  The cache
+ * stores these, so an entry serves every alpha-equivalent formula.
+ */
+struct CanonModel {
+    expr::SlotValues<std::uint64_t> bvVars;
+    expr::SlotValues<bool> boolVars;
+    expr::SlotValues<expr::ConcreteMemory> mems;
 };
 
 /** Compute the canonical form of a boolean formula. */
 CanonForm canonicalize(expr::Expr formula);
 
+/** @return the canonical index of variable `v` in `form`, or -1. */
+int canonicalIndex(const CanonForm &form, expr::Expr v);
+
+/** @return the canonical name of variable `index` of `sort`:
+ *  v<index>, b<index> or m<index> for Bv, Bool and Mem. */
+std::string canonicalName(expr::Sort sort, std::uint32_t index);
+
 /**
- * Assign canonical names to variables not reachable from the
+ * Assign canonical indices to variables not reachable from the
  * canonicalized formula (e.g. blocking variables supplied by the
- * pipeline), in list order.  Variables already mapped are untouched,
+ * pipeline), in list order.  Variables already indexed are untouched,
  * so the extension is deterministic given a deterministic list.
  */
 void extendVars(CanonForm &form, const std::vector<expr::Expr> &vars);
 
-/** Translate an assignment into the canonical namespace.  Names
- *  without a mapping are kept verbatim. */
-expr::Assignment toCanonical(const CanonForm &form,
-                             const expr::Assignment &a);
+/** Translate an assignment into canonical indices.  Variables the
+ *  form does not index are dropped. */
+CanonModel toCanonical(const CanonForm &form, const expr::Assignment &a);
 
-/** Translate a canonical assignment back to original names. */
-expr::Assignment toOriginal(const CanonForm &form,
-                            const expr::Assignment &a);
+/** Translate a canonical model back to the form's variable nodes.
+ *  Indices past the form's variables are dropped. */
+expr::Assignment toOriginal(const CanonForm &form, const CanonModel &m);
 
 } // namespace scamv::qcache
 

@@ -31,16 +31,18 @@ namespace {
  * linecodec checksum over everything before it.  The payload is
  * `<model>#<delta>` with comma-separated typed tokens:
  *
- *   v!name:hex        bitvector variable value
- *   o!name:0|1        boolean variable value
- *   M!name@addr:val   one memory cell (hex address/value)
+ *   v!v<i>:hex        bitvector variable value
+ *   o!b<i>:0|1        boolean variable value
+ *   M!m<i>@addr:val   one memory cell (hex address/value)
  *   c!name:dec        counter delta
  *   g!name:g17        gauge delta (%.17g, exact round-trip)
  *   h!name:b|..~c|..~sum~count   histogram delta
  *
- * Variable and metric names in this codebase are [A-Za-z0-9_.]+, so
- * the delimiters never collide; an entry whose names do collide is
- * simply not persisted (kept in memory only).
+ * Model variables are canonical indices, written as their canonical
+ * names; a token whose name is not canonical for its tag drops the
+ * record.  Metric names in this codebase are [A-Za-z0-9_.]+, so the
+ * delimiters never collide; an entry whose names do collide is simply
+ * not persisted (kept in memory only).
  */
 
 /** @return true iff `name` is safe for the record grammar above. */
@@ -64,6 +66,41 @@ sortedKeys(const Map &map)
     return keys;
 }
 
+/**
+ * The set values of `values` with their canonical names, sorted by
+ * name as strings (v10 before v2), the order records have always
+ * listed them in.
+ */
+template <class T>
+std::vector<std::pair<std::string, const T *>>
+byName(const expr::SlotValues<T> &values, expr::Sort sort)
+{
+    std::vector<std::pair<std::string, const T *>> named;
+    values.forEach([&](std::uint32_t i, const T &v) {
+        named.emplace_back(canonicalName(sort, i), &v);
+    });
+    std::sort(named.begin(), named.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    return named;
+}
+
+/** Indices past this are not canonical: no formula has that many
+ *  variables, and a damaged record must not size a model by it. */
+constexpr std::uint64_t kMaxCanonIndex = 1 << 16;
+
+/** @return true iff `name` is canonical name `index` of `sort`. */
+bool
+parseCanonicalName(std::string_view name, expr::Sort sort,
+                   std::uint32_t &index)
+{
+    std::uint64_t i;
+    if (name.size() < 2 || !parseU64(name.substr(1), i) ||
+        i >= kMaxCanonIndex)
+        return false;
+    index = static_cast<std::uint32_t>(i);
+    return canonicalName(sort, index) == name;
+}
+
 /** Encode model + delta as the payload field, or "" on unsafe names. */
 std::string
 encodePayload(const Entry &e)
@@ -74,21 +111,13 @@ encodePayload(const Entry &e)
             out += ',';
         out += token;
     };
-    for (const auto &name : sortedKeys(e.model.bvVars)) {
-        if (!nameOk(name))
-            return "";
-        push("v!" + name + ":" + hex(e.model.bvVars.at(name)));
-    }
-    for (const auto &name : sortedKeys(e.model.boolVars)) {
-        if (!nameOk(name))
-            return "";
-        push("o!" + name + ":" +
-             (e.model.boolVars.at(name) ? "1" : "0"));
-    }
-    for (const auto &name : sortedKeys(e.model.mems)) {
-        if (!nameOk(name))
-            return "";
-        const auto &cells = e.model.mems.at(name).entries();
+    for (const auto &[name, v] : byName(e.model.bvVars, expr::Sort::Bv))
+        push("v!" + name + ":" + hex(*v));
+    for (const auto &[name, v] :
+         byName(e.model.boolVars, expr::Sort::Bool))
+        push("o!" + name + ":" + (*v ? "1" : "0"));
+    for (const auto &[name, mem] : byName(e.model.mems, expr::Sort::Mem)) {
+        const auto &cells = mem->entries();
         for (const auto &addr : sortedKeys(cells))
             push("M!" + name + "@" + hex(addr) + ":" +
                  hex(cells.at(addr)));
@@ -126,7 +155,7 @@ encodePayload(const Entry &e)
 }
 
 bool
-decodeModelToken(std::string_view token, expr::Assignment &model)
+decodeModelToken(std::string_view token, CanonModel &model)
 {
     if (token.size() < 4 || token[1] != '!')
         return false;
@@ -137,17 +166,20 @@ decodeModelToken(std::string_view token, expr::Assignment &model)
         return false;
     std::string_view value = body.substr(colon + 1);
     std::string_view name = body.substr(0, colon);
+    std::uint32_t index;
     if (tag == 'v') {
         std::uint64_t v;
-        if (!parseHex(value, v))
+        if (!parseCanonicalName(name, expr::Sort::Bv, index) ||
+            !parseHex(value, v))
             return false;
-        model.bvVars[std::string(name)] = v;
+        model.bvVars[index] = v;
         return true;
     }
     if (tag == 'o') {
-        if (value != "0" && value != "1")
+        if (!parseCanonicalName(name, expr::Sort::Bool, index) ||
+            (value != "0" && value != "1"))
             return false;
-        model.boolVars[std::string(name)] = value == "1";
+        model.boolVars[index] = value == "1";
         return true;
     }
     if (tag == 'M') {
@@ -155,10 +187,11 @@ decodeModelToken(std::string_view token, expr::Assignment &model)
         if (at == std::string_view::npos || at == 0)
             return false;
         std::uint64_t addr, v;
-        if (!parseHex(name.substr(at + 1), addr) ||
-            !parseHex(value, v))
+        if (!parseCanonicalName(name.substr(0, at), expr::Sort::Mem,
+                                index) ||
+            !parseHex(name.substr(at + 1), addr) || !parseHex(value, v))
             return false;
-        model.mems[std::string(name.substr(0, at))].storeWord(addr, v);
+        model.mems[index].storeWord(addr, v);
         return true;
     }
     return false;
@@ -230,12 +263,19 @@ std::size_t
 entryBytes(const Entry &e)
 {
     std::size_t b = 128; // slot + bookkeeping overhead
-    for (const auto &[name, v] : e.model.bvVars)
-        b += name.size() + 24;
-    for (const auto &[name, v] : e.model.boolVars)
-        b += name.size() + 17;
-    for (const auto &[name, mem] : e.model.mems)
-        b += name.size() + 48 + 24 * mem.entries().size();
+    // A model variable costs its canonical name's length, v<i>.
+    const auto name_size = [](std::uint32_t i) {
+        return std::to_string(i).size() + 1;
+    };
+    e.model.bvVars.forEach([&](std::uint32_t i, std::uint64_t) {
+        b += name_size(i) + 24;
+    });
+    e.model.boolVars.forEach(
+        [&](std::uint32_t i, bool) { b += name_size(i) + 17; });
+    e.model.mems.forEach(
+        [&](std::uint32_t i, const expr::ConcreteMemory &mem) {
+            b += name_size(i) + 48 + 24 * mem.entries().size();
+        });
     for (const auto &[name, v] : e.delta.counters)
         b += name.size() + 24;
     for (const auto &[name, v] : e.delta.gauges)

@@ -7,7 +7,7 @@
  * and gated on its exactness fingerprint: a lookup only hits when the
  * stored fingerprint equals the querier's, so every hit is an exact
  * replay of the original solve — same outcome, same model (modulo
- * variable-name translation) and, via the captured metric delta, the
+ * canonical-index translation) and, via the captured metric delta, the
  * same instrumentation effects.  Because a hit never changes *what*
  * the pipeline computes (only how much work it redoes), the campaign
  * determinism invariants (thread-count byte-identity, cold-vs-resumed
@@ -43,7 +43,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "expr/eval.hh"
 #include "support/metrics.hh"
 #include "support/qcache/canon.hh"
 
@@ -58,8 +57,8 @@ struct Entry {
     bool pairDead = false;
     /** Exactness fingerprint of the formula that produced this. */
     std::uint64_t fingerprint = 0;
-    /** Satisfying assignment in canonical variable names (Sat only). */
-    expr::Assignment model;
+    /** Satisfying assignment by canonical index (Sat only). */
+    CanonModel model;
     /** Solver metric delta captured while computing the result;
      *  merged into the querier's registry on every hit so cached and
      *  uncached runs tally identically. */
@@ -70,14 +69,16 @@ struct Entry {
 inline constexpr const char *kFileHeader = "scamv-qcache-v1";
 
 /**
- * One checkpoint record: a support/linecodec sealed line.
- * @return "" when a name in the entry cannot be written safely (the
- * entry then stays in memory only).
+ * One checkpoint record: a support/linecodec sealed line.  Model
+ * variables are written by canonical name (v<i>, b<i>, m<i>), sorted
+ * as strings.  @return "" when a metric name in the entry cannot be
+ * written safely (the entry then stays in memory only).
  */
 std::string encodeRecord(const Key &key, const Entry &entry);
 
 /** @return the record's key and entry, or nullopt when the line is
- *  damaged in any way (checksum, field count, any field). */
+ *  damaged in any way (checksum, field count, any field, a model
+ *  variable name that is not canonical). */
 std::optional<std::pair<Key, Entry>> decodeRecord(std::string_view line);
 
 /** Cache configuration (see configFromEnv). */

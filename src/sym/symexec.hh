@@ -101,7 +101,10 @@ struct SymNames {
     std::string
     reg(bir::Reg r) const
     {
-        return "x" + std::to_string(r) + suffix;
+        std::string name = "x";
+        name += std::to_string(r);
+        name += suffix;
+        return name;
     }
 
     std::string mem() const { return "mem" + suffix; }

@@ -50,8 +50,8 @@ TEST_P(BvOpTest, RandomCrossCheckAgainstEvaluator)
     const std::uint64_t vb =
         GetParam() % 3 == 0 ? rng.below(70) : rng.next(); // small shifts
     expr::Assignment asg;
-    asg.bvVars["a"] = va;
-    asg.bvVars["b"] = vb;
+    asg.setBv(ctx.bvVar("a"), va);
+    asg.setBv(ctx.bvVar("b"), vb);
 
     const std::vector<Expr> terms = {
         ctx.add(a, b),        ctx.sub(a, b),   ctx.bvAnd(a, b),
@@ -99,8 +99,8 @@ TEST_P(BvCmpTest, ComparisonsMatchEvaluator)
         vb = 1;
     }
     expr::Assignment asg;
-    asg.bvVars["a"] = va;
-    asg.bvVars["b"] = vb;
+    asg.setBv(ctx.bvVar("a"), va);
+    asg.setBv(ctx.bvVar("b"), vb);
 
     for (Expr pred : {ctx.eq(a, b), ctx.ult(a, b), ctx.ule(a, b),
                       ctx.slt(a, b), ctx.sle(a, b)}) {

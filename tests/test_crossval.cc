@@ -41,14 +41,15 @@ constexpr std::uint64_t kBoardSeed = 0xb0a2dULL;
  * read (so evaluator and core see identical memory).
  */
 expr::Assignment
-makeInput(Rng &rng, const std::vector<sym::PathResult> &paths)
+makeInput(const harness::StateVars &vars, Rng &rng,
+          const std::vector<sym::PathResult> &paths)
 {
     expr::Assignment a;
     for (int r = 0; r < bir::kNumRegs; ++r) {
         std::uint64_t v = rng.chance(0.8)
                               ? 0x80000 + rng.below(0x80000 / 8) * 8
                               : rng.below(1024);
-        a.bvVars["x" + std::to_string(r) + "_1"] = v;
+        a.setBv(vars.regs[r], v);
     }
     hw::Memory junk(kBoardSeed);
     // Fixpoint over nested reads (depth <= 3 in the templates).
@@ -70,10 +71,11 @@ makeInput(Rng &rng, const std::vector<sym::PathResult> &paths)
                     const std::uint64_t raw =
                         expr::evalBv(r->kids[1], a);
                     const std::uint64_t val = junk.load(raw & ~7ULL);
-                    if (!a.mems["mem_1"].contains(raw))
-                        a.mems["mem_1"].storeWord(raw, val);
-                    if (!a.mems["mem_1"].contains(raw & ~7ULL))
-                        a.mems["mem_1"].storeWord(raw & ~7ULL, val);
+                    expr::ConcreteMemory &mem = a.memOf(vars.mem);
+                    if (!mem.contains(raw))
+                        mem.storeWord(raw, val);
+                    if (!mem.contains(raw & ~7ULL))
+                        mem.storeWord(raw & ~7ULL, val);
                 }
             }
         }
@@ -82,12 +84,9 @@ makeInput(Rng &rng, const std::vector<sym::PathResult> &paths)
 }
 
 hw::ArchState
-stateOf(const expr::Assignment &a)
+stateOf(const harness::StateVars &vars, const expr::Assignment &a)
 {
-    hw::ArchState st;
-    for (int r = 0; r < bir::kNumRegs; ++r)
-        st.regs[r] = a.bv("x" + std::to_string(r) + "_1");
-    return st;
+    return harness::inputFromAssignment(a, vars).regs;
 }
 
 class CrossVal : public ::testing::TestWithParam<gen::TemplateKind>
@@ -104,7 +103,8 @@ TEST_P(CrossVal, ExactlyOnePathConditionHolds)
         auto annot = obs::makeModel(obs::ModelKind::Mct);
         auto paths = sym::execute(ctx, p, *annot, {"_1"});
         for (int j = 0; j < 4; ++j) {
-            expr::Assignment a = makeInput(rng, paths);
+            expr::Assignment a =
+                makeInput(harness::stateVars(ctx, "_1"), rng, paths);
             int holds = 0;
             for (const auto &path : paths)
                 holds += expr::evalBool(path.cond, a);
@@ -123,7 +123,8 @@ TEST_P(CrossVal, SymbolicAddressesMatchHardwareTrace)
         auto annot = obs::makeModel(obs::ModelKind::Mct);
         auto paths = sym::execute(ctx, p, *annot, {"_1"});
         for (int j = 0; j < 4; ++j) {
-            expr::Assignment a = makeInput(rng, paths);
+            expr::Assignment a =
+                makeInput(harness::stateVars(ctx, "_1"), rng, paths);
             const sym::PathResult *active = nullptr;
             for (const auto &path : paths)
                 if (expr::evalBool(path.cond, a))
@@ -136,9 +137,9 @@ TEST_P(CrossVal, SymbolicAddressesMatchHardwareTrace)
 
             hw::Core core(hw::CoreConfig{}, kBoardSeed);
             for (const auto &[addr, val] :
-                 a.mems["mem_1"].entries())
+                 a.memOf(ctx.memVar("mem_1")).entries())
                 core.memory().store(addr, val);
-            auto run = core.run(p, stateOf(a));
+            auto run = core.run(p, stateOf(harness::stateVars(ctx, "_1"), a));
             EXPECT_EQ(run.memTrace, expected) << p.toString();
         }
     }
@@ -158,7 +159,8 @@ TEST_P(CrossVal, HardwareTransientLoadsWithinSymbolicModel)
         auto annot = obs::makeModel(obs::ModelKind::Mspec);
         auto paths = sym::execute(ctx, inst, *annot, {"_1"});
         for (int j = 0; j < 4; ++j) {
-            expr::Assignment a = makeInput(rng, paths);
+            expr::Assignment a =
+                makeInput(harness::stateVars(ctx, "_1"), rng, paths);
             const sym::PathResult *active = nullptr;
             for (const auto &path : paths)
                 if (expr::evalBool(path.cond, a))
@@ -172,9 +174,10 @@ TEST_P(CrossVal, HardwareTransientLoadsWithinSymbolicModel)
             // Mistrain: run the opposite input class a few times so
             // the measured run mispredicts if possible.
             hw::Core core(hw::CoreConfig{}, kBoardSeed);
-            for (const auto &[addr, val] : a.mems["mem_1"].entries())
+            for (const auto &[addr, val] :
+                 a.memOf(ctx.memVar("mem_1")).entries())
                 core.memory().store(addr, val);
-            auto run = core.run(p, stateOf(a));
+            auto run = core.run(p, stateOf(harness::stateVars(ctx, "_1"), a));
             transient_seen +=
                 static_cast<int>(run.transientTrace.size());
             for (std::uint64_t t : run.transientTrace) {
@@ -249,10 +252,12 @@ TEST_P(CrossVal, InjectedFlakesOnlyDegradeVerdicts)
         bir::Program p = g.next();
         auto annot = obs::makeModel(obs::ModelKind::Mct);
         auto paths = sym::execute(ctx, p, *annot, {"_1"});
-        expr::Assignment a = makeInput(rng, paths);
+        expr::Assignment a =
+            makeInput(harness::stateVars(ctx, "_1"), rng, paths);
 
         harness::TestCase identical;
-        identical.s1 = harness::inputFromAssignment(a, "_1");
+        identical.s1 = harness::inputFromAssignment(
+            a, harness::stateVars(ctx, "_1"));
         identical.s2 = identical.s1;
         harness::TestCase differing = identical;
         differing.s2.regs.regs[1] ^= 0x40; // cross a cache line

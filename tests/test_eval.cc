@@ -23,7 +23,7 @@ class EvalTest : public ::testing::Test
 
 TEST_F(EvalTest, VariablesAndConstants)
 {
-    a.bvVars["x"] = 7;
+    a.setBv(ctx.bvVar("x"), 7);
     EXPECT_EQ(evalBv(ctx.bvVar("x"), a), 7u);
     EXPECT_EQ(evalBv(ctx.bv(11), a), 11u);
     EXPECT_EQ(evalBv(ctx.bvVar("unbound"), a), 0u);
@@ -33,8 +33,8 @@ TEST_F(EvalTest, VariablesAndConstants)
 
 TEST_F(EvalTest, Arithmetic)
 {
-    a.bvVars["x"] = 10;
-    a.bvVars["y"] = 3;
+    a.setBv(ctx.bvVar("x"), 10);
+    a.setBv(ctx.bvVar("y"), 3);
     Expr x = ctx.bvVar("x"), y = ctx.bvVar("y");
     EXPECT_EQ(evalBv(ctx.add(x, y), a), 13u);
     EXPECT_EQ(evalBv(ctx.sub(x, y), a), 7u);
@@ -44,7 +44,7 @@ TEST_F(EvalTest, Arithmetic)
 
 TEST_F(EvalTest, WrapAround)
 {
-    a.bvVars["x"] = UINT64_MAX;
+    a.setBv(ctx.bvVar("x"), UINT64_MAX);
     Expr x = ctx.bvVar("x");
     EXPECT_EQ(evalBv(ctx.add(x, ctx.bv(1)), a), 0u);
     EXPECT_EQ(evalBv(ctx.mul(x, ctx.bv(2)), a), UINT64_MAX - 1);
@@ -52,7 +52,7 @@ TEST_F(EvalTest, WrapAround)
 
 TEST_F(EvalTest, BitwiseAndShifts)
 {
-    a.bvVars["x"] = 0xFF00;
+    a.setBv(ctx.bvVar("x"), 0xFF00);
     Expr x = ctx.bvVar("x");
     EXPECT_EQ(evalBv(ctx.bvAnd(x, ctx.bv(0x0F00)), a), 0x0F00u);
     EXPECT_EQ(evalBv(ctx.bvOr(x, ctx.bv(0xFF)), a), 0xFFFFu);
@@ -68,15 +68,15 @@ TEST_F(EvalTest, BitwiseAndShifts)
 TEST_F(EvalTest, ShiftAmountsWrapMod64)
 {
     EXPECT_EQ(evalBv(ctx.shl(ctx.bvVar("one"), ctx.bv(64)), a),
-              a.bv("one")); // 64 & 63 == 0
-    a.bvVars["one"] = 1;
+              a.bv(ctx.bvVar("one"))); // 64 & 63 == 0
+    a.setBv(ctx.bvVar("one"), 1);
     EXPECT_EQ(evalBv(ctx.shl(ctx.bvVar("one"), ctx.bv(65)), a), 2u);
 }
 
 TEST_F(EvalTest, Comparisons)
 {
-    a.bvVars["x"] = 5;
-    a.bvVars["y"] = static_cast<std::uint64_t>(-5);
+    a.setBv(ctx.bvVar("x"), 5);
+    a.setBv(ctx.bvVar("y"), static_cast<std::uint64_t>(-5));
     Expr x = ctx.bvVar("x"), y = ctx.bvVar("y");
     EXPECT_TRUE(evalBool(ctx.ult(x, y), a));  // unsigned: 5 < huge
     EXPECT_FALSE(evalBool(ctx.slt(x, y), a)); // signed: 5 > -5
@@ -87,8 +87,8 @@ TEST_F(EvalTest, Comparisons)
 
 TEST_F(EvalTest, BooleanConnectives)
 {
-    a.boolVars["p"] = true;
-    a.boolVars["q"] = false;
+    a.setBool(ctx.boolVar("p"), true);
+    a.setBool(ctx.boolVar("q"), false);
     Expr p = ctx.boolVar("p"), q = ctx.boolVar("q");
     EXPECT_FALSE(evalBool(ctx.land(p, q), a));
     EXPECT_TRUE(evalBool(ctx.lor(p, q), a));
@@ -99,16 +99,16 @@ TEST_F(EvalTest, BooleanConnectives)
 
 TEST_F(EvalTest, IteSelectsBranch)
 {
-    a.boolVars["p"] = true;
+    a.setBool(ctx.boolVar("p"), true);
     Expr e = ctx.ite(ctx.boolVar("p"), ctx.bv(1), ctx.bv(2));
     EXPECT_EQ(evalBv(e, a), 1u);
-    a.boolVars["p"] = false;
+    a.setBool(ctx.boolVar("p"), false);
     EXPECT_EQ(evalBv(e, a), 2u);
 }
 
 TEST_F(EvalTest, MemoryReadsDefaultAndExplicit)
 {
-    a.mems["m"].storeWord(0x100, 77);
+    a.memOf(ctx.memVar("m")).storeWord(0x100, 77);
     Expr m = ctx.memVar("m");
     EXPECT_EQ(evalBv(ctx.read(m, ctx.bv(0x100)), a), 77u);
     EXPECT_EQ(evalBv(ctx.read(m, ctx.bv(0x200)), a), 0u); // default
@@ -119,9 +119,9 @@ TEST_F(EvalTest, ReadThroughStoreChain)
     Expr m = ctx.memVar("m");
     Expr addr_a = ctx.bvVar("a");
     Expr addr_b = ctx.bvVar("b");
-    a.bvVars["a"] = 0x10;
-    a.bvVars["b"] = 0x20;
-    a.mems["m"].storeWord(0x20, 5);
+    a.setBv(ctx.bvVar("a"), 0x10);
+    a.setBv(ctx.bvVar("b"), 0x20);
+    a.memOf(ctx.memVar("m")).storeWord(0x20, 5);
     Expr chain = ctx.store(m, addr_a, ctx.bv(42));
     EXPECT_EQ(evalBv(ctx.read(chain, addr_a), a), 42u);
     EXPECT_EQ(evalBv(ctx.read(chain, addr_b), a), 5u);
@@ -132,8 +132,8 @@ TEST_F(EvalTest, StoreShadowsWhenAddressesCollideDynamically)
     Expr m = ctx.memVar("m");
     Expr addr_a = ctx.bvVar("a");
     Expr addr_b = ctx.bvVar("b");
-    a.bvVars["a"] = 0x30;
-    a.bvVars["b"] = 0x30; // dynamic alias, not syntactic
+    a.setBv(ctx.bvVar("a"), 0x30);
+    a.setBv(ctx.bvVar("b"), 0x30); // dynamic alias, not syntactic
     Expr chain = ctx.store(m, addr_a, ctx.bv(9));
     EXPECT_EQ(evalBv(ctx.read(chain, addr_b), a), 9u);
 }
@@ -153,9 +153,9 @@ TEST_F(EvalTest, NestedReadAddress)
 {
     // mem[mem[a]]: pointer chasing as in the stride template.
     Expr m = ctx.memVar("m");
-    a.bvVars["a"] = 0x40;
-    a.mems["m"].storeWord(0x40, 0x80);
-    a.mems["m"].storeWord(0x80, 1234);
+    a.setBv(ctx.bvVar("a"), 0x40);
+    a.memOf(ctx.memVar("m")).storeWord(0x40, 0x80);
+    a.memOf(ctx.memVar("m")).storeWord(0x80, 1234);
     Expr inner = ctx.read(m, ctx.bvVar("a"));
     EXPECT_EQ(evalBv(ctx.read(m, inner), a), 1234u);
 }
@@ -177,8 +177,8 @@ refRead(Expr mem, std::uint64_t addr, const Assignment &a)
         return refEval(mem->kids[1], a) == addr
                    ? refEval(mem->kids[2], a)
                    : refRead(mem->kids[0], addr, a);
-    auto it = a.mems.find(mem->name);
-    return it == a.mems.end() ? 0 : it->second.load(addr);
+    const ConcreteMemory *words = a.mems.find(mem->slot);
+    return words ? words->load(addr) : 0;
 }
 
 std::uint64_t
@@ -189,11 +189,8 @@ refEval(Expr e, const Assignment &a)
     switch (e->kind) {
       case Kind::BvConst:
       case Kind::BoolConst: return e->value;
-      case Kind::BvVar: return a.bv(e->name);
-      case Kind::BoolVar: {
-        auto it = a.boolVars.find(e->name);
-        return it != a.boolVars.end() && it->second;
-      }
+      case Kind::BvVar: return a.bv(e);
+      case Kind::BoolVar: return a.boolean(e);
       case Kind::Add: return k(0) + k(1);
       case Kind::Sub: return k(0) - k(1);
       case Kind::Mul: return k(0) * k(1);
@@ -308,7 +305,7 @@ struct RandomDag {
 /** An assignment whose values often coincide, so stores alias reads
  *  and comparisons go both ways. */
 Assignment
-randomAssignment(Rng &rng)
+randomAssignment(ExprContext &ctx, Rng &rng)
 {
     const std::uint64_t common[] = {0, 8, 16, 64, 0x8000000000000000ULL,
                                     ~0ULL};
@@ -318,12 +315,12 @@ randomAssignment(Rng &rng)
     Assignment a;
     for (int i = 0; i < 5; ++i)
         if (rng.chance(0.9))
-            a.bvVars["x" + std::to_string(i)] = value();
-    a.boolVars["p"] = rng.chance(0.5);
+            a.setBv(ctx.bvVar("x" + std::to_string(i)), value());
+    a.setBool(ctx.boolVar("p"), rng.chance(0.5));
     if (rng.chance(0.5))
-        a.boolVars["q"] = rng.chance(0.5);
+        a.setBool(ctx.boolVar("q"), rng.chance(0.5));
     if (rng.chance(0.8)) {
-        ConcreteMemory &m = a.mems["m"];
+        ConcreteMemory &m = a.memOf(ctx.memVar("m"));
         m.defaultValue = rng.chance(0.5) ? 0 : value();
         for (int i = 0; i < 4; ++i)
             m.storeWord(common[rng.below(6)], value());
@@ -351,7 +348,7 @@ TEST(EvalDifferential, RandomDagsMatchMemoFreeReference)
         const RandomDag dag(ctx, seed);
         Rng rng(seed * 7919);
         for (int i = 0; i < 20; ++i)
-            ASSERT_EQ(mismatches(dag, randomAssignment(rng)), 0)
+            ASSERT_EQ(mismatches(dag, randomAssignment(ctx, rng)), 0)
                 << "seed " << seed << " assignment " << i;
     }
 }
@@ -367,8 +364,10 @@ TEST(EvalDifferential, InterleavedContextsDoNotShareValues)
         ASSERT_EQ(d1.bools.size(), d2.bools.size());
         Rng rng(seed);
         for (int i = 0; i < 10; ++i) {
-            const Assignment a1 = randomAssignment(rng);
-            const Assignment a2 = randomAssignment(rng);
+            // Built identically, the contexts give every variable the
+            // same slot, so either assignment serves either DAG.
+            const Assignment a1 = randomAssignment(c1, rng);
+            const Assignment a2 = randomAssignment(c2, rng);
             for (std::size_t k = 0; k < d1.bools.size(); ++k) {
                 ASSERT_EQ(evalBool(d1.bools[k], a1),
                           refEval(d1.bools[k], a1) != 0);
@@ -390,7 +389,7 @@ TEST(EvalDifferential, ConcurrentThreadsEvaluateIndependently)
             const RandomDag dag(ctx, seed);
             Rng rng(seed);
             for (int i = 0; i < 10; ++i)
-                bad += mismatches(dag, randomAssignment(rng));
+                bad += mismatches(dag, randomAssignment(ctx, rng));
         }
     };
     std::thread t1(work, 100), t2(work, 200);

@@ -29,6 +29,36 @@ TEST_F(ExprTest, VariablesInternByName)
     EXPECT_NE(ctx.bvVar("x0"), ctx.boolVar("x0"));
 }
 
+TEST_F(ExprTest, VariableSlotsAreDensePerSort)
+{
+    // Slots count each sort's variables in creation order; re-interning
+    // a name returns the same node, with the same slot.
+    const Expr x = ctx.bvVar("x");
+    const Expr p = ctx.boolVar("p");
+    const Expr y = ctx.bvVar("y");
+    const Expr m = ctx.memVar("m");
+    EXPECT_EQ(x->slot, 0u);
+    EXPECT_EQ(y->slot, 1u);
+    EXPECT_EQ(p->slot, 0u);
+    EXPECT_EQ(m->slot, 0u);
+    EXPECT_EQ(ctx.bvVar("y")->slot, 1u);
+    EXPECT_EQ(ctx.add(x, y)->slot, 0u);
+    // The slot sits in the padding after `sort`: no bigger node.
+    EXPECT_EQ(sizeof(Node), 3 * sizeof(std::uint64_t) +
+                                sizeof(std::string) +
+                                sizeof(std::vector<Expr>));
+}
+
+TEST_F(ExprTest, FindVarNeverInterns)
+{
+    const Expr x = ctx.bvVar("x");
+    const std::size_t nodes = ctx.size();
+    EXPECT_EQ(ctx.findVar(Kind::BvVar, "x"), x);
+    EXPECT_EQ(ctx.findVar(Kind::BoolVar, "x"), nullptr);
+    EXPECT_EQ(ctx.findVar(Kind::BvVar, "absent"), nullptr);
+    EXPECT_EQ(ctx.size(), nodes);
+}
+
 TEST_F(ExprTest, StructuralSharing)
 {
     Expr a = ctx.bvVar("a");

@@ -173,12 +173,13 @@ TEST(Platform, NoNoiseNoInconclusives)
 
 TEST(Platform, InputFromAssignmentExtractsState)
 {
+    expr::ExprContext ctx;
     expr::Assignment a;
-    a.bvVars["x0_1"] = 123;
-    a.bvVars["x5_1"] = 456;
-    a.bvVars["x0_2"] = 789; // other state, ignored for suffix _1
-    a.mems["mem_1"].storeWord(0x1000, 42);
-    auto in = inputFromAssignment(a, "_1");
+    a.setBv(ctx.bvVar("x0_1"), 123);
+    a.setBv(ctx.bvVar("x5_1"), 456);
+    a.setBv(ctx.bvVar("x0_2"), 789); // other state, ignored for suffix _1
+    a.memOf(ctx.memVar("mem_1")).storeWord(0x1000, 42);
+    auto in = inputFromAssignment(a, stateVars(ctx, "_1"));
     EXPECT_EQ(in.regs.regs[0], 123u);
     EXPECT_EQ(in.regs.regs[5], 456u);
     EXPECT_EQ(in.regs.regs[7], 0u);
@@ -187,15 +188,42 @@ TEST(Platform, InputFromAssignmentExtractsState)
     EXPECT_EQ(in.mem[0].second, 42u);
 }
 
+TEST(Platform, StateVarsResolveWithoutInterning)
+{
+    // A new node would shift creation ids, and with them operand
+    // order and SAT variable order: resolving never interns.
+    expr::ExprContext ctx;
+    const expr::Expr x3 = ctx.bvVar("x3_1");
+    const expr::Expr mem = ctx.memVar("mem_1");
+    const std::size_t nodes = ctx.size();
+    const StateVars s1 = stateVars(ctx, "_1");
+    const StateVars s2 = stateVars(ctx, "_2");
+    const StateVars st = stateVars(ctx, "_t");
+    EXPECT_EQ(ctx.size(), nodes);
+    EXPECT_EQ(s1.regs[3], x3);
+    EXPECT_EQ(s1.mem, mem);
+    EXPECT_EQ(s1.regs[0], nullptr);
+    EXPECT_EQ(s2.mem, nullptr);
+    EXPECT_EQ(st.regs[3], nullptr);
+
+    // An unresolved state reads as all-zero registers, no memory.
+    expr::Assignment a;
+    a.setBv(x3, 9);
+    EXPECT_EQ(inputFromAssignment(a, s1).regs.regs[3], 9u);
+    EXPECT_EQ(inputFromAssignment(a, s2), ProgramInput{});
+    EXPECT_EQ(ctx.size(), nodes);
+}
+
 /** @return the bytes ExperimentDb::exportCsv writes for one record
  *  holding `model`'s test case. */
 std::string
-csvOf(const expr::Assignment &model, const std::string &path)
+csvOf(const expr::ExprContext &ctx, const expr::Assignment &model,
+      const std::string &path)
 {
     core::ExperimentRecord r;
     r.programName = "p";
-    r.testCase.s1 = inputFromAssignment(model, "_1");
-    r.testCase.s2 = inputFromAssignment(model, "_2");
+    r.testCase.s1 = inputFromAssignment(model, stateVars(ctx, "_1"));
+    r.testCase.s2 = inputFromAssignment(model, stateVars(ctx, "_2"));
     core::ExperimentDb db;
     db.add(r);
     EXPECT_TRUE(db.exportCsv(path));
@@ -211,12 +239,13 @@ TEST(Platform, InputFromAssignmentSortsMemoryByAddress)
     // The same words in both memories of two models, inserted in
     // opposite orders; model b's maps are also pushed past a rehash
     // first, so the two models' maps iterate in different orders.
+    expr::ExprContext ctx;
     const MemInit words = {{0, 0}, {304, 1}, {216, 2}, {112, 1}, {296, 2}};
     expr::Assignment a, b;
     for (const char *name : {"mem_1", "mem_2"}) {
         for (const auto &[addr, v] : words)
-            a.mems[name].storeWord(addr, v);
-        expr::ConcreteMemory &mem = b.mems[name];
+            a.memOf(ctx.memVar(name)).storeWord(addr, v);
+        expr::ConcreteMemory &mem = b.memOf(ctx.memVar(name));
         for (std::uint64_t i = 1; i <= 64; ++i)
             mem.storeWord(8 * i + 1, 0);
         for (std::uint64_t i = 1; i <= 64; ++i)
@@ -228,12 +257,13 @@ TEST(Platform, InputFromAssignmentSortsMemoryByAddress)
     const MemInit ascending = {
         {0, 0}, {112, 1}, {216, 2}, {296, 2}, {304, 1}};
     for (const char *suffix : {"_1", "_2"}) {
-        EXPECT_EQ(inputFromAssignment(a, suffix).mem, ascending);
-        EXPECT_EQ(inputFromAssignment(b, suffix).mem, ascending);
+        const StateVars vars = stateVars(ctx, suffix);
+        EXPECT_EQ(inputFromAssignment(a, vars).mem, ascending);
+        EXPECT_EQ(inputFromAssignment(b, vars).mem, ascending);
     }
     const std::string dir = ::testing::TempDir();
-    EXPECT_EQ(csvOf(a, dir + "scamv_sorted_mem_a.csv"),
-              csvOf(b, dir + "scamv_sorted_mem_b.csv"));
+    EXPECT_EQ(csvOf(ctx, a, dir + "scamv_sorted_mem_a.csv"),
+              csvOf(ctx, b, dir + "scamv_sorted_mem_b.csv"));
 }
 
 TEST(FlushReload, RecoversVictimAccess)

@@ -397,9 +397,9 @@ sampleEntry(Rng &rng)
     e.pairDead = rng.below(2) != 0;
     e.fingerprint = rng.next();
     if (e.sat) {
-        e.model.bvVars["v0"] = rng.next();
-        e.model.boolVars["b0"] = rng.below(2) != 0;
-        e.model.mems["m0"].storeWord(8 * rng.below(64), rng.next());
+        e.model.bvVars[0] = rng.next();
+        e.model.boolVars[0] = rng.below(2) != 0;
+        e.model.mems[0].storeWord(8 * rng.below(64), rng.next());
     }
     e.delta.counters["smt.queries"] = 1;
     e.delta.gauges["smt.g"] = 0.1 * static_cast<double>(rng.below(9));

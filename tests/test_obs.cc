@@ -49,7 +49,7 @@ TEST(Layout, SetExprMatchesConcrete)
     ExprContext ctx;
     expr::Assignment a;
     for (std::uint64_t addr : {0ULL, 64ULL, 4096ULL, 0x87654ULL}) {
-        a.bvVars["x"] = addr;
+        a.setBv(ctx.bvVar("x"), addr);
         EXPECT_EQ(expr::evalBv(g.setExpr(ctx, ctx.bvVar("x")), a),
                   g.setOf(addr))
             << addr;
@@ -70,11 +70,11 @@ TEST(Layout, RegionExprRequiresAlignment)
     MemoryRegion r;
     ExprContext ctx;
     expr::Assignment a;
-    a.bvVars["x"] = r.base + 8;
+    a.setBv(ctx.bvVar("x"), r.base + 8);
     EXPECT_TRUE(expr::evalBool(r.containsExpr(ctx, ctx.bvVar("x")), a));
-    a.bvVars["x"] = r.base + 4; // misaligned
+    a.setBv(ctx.bvVar("x"), r.base + 4); // misaligned
     EXPECT_FALSE(expr::evalBool(r.containsExpr(ctx, ctx.bvVar("x")), a));
-    a.bvVars["x"] = r.limit(); // out of range
+    a.setBv(ctx.bvVar("x"), r.limit()); // out of range
     EXPECT_FALSE(expr::evalBool(r.containsExpr(ctx, ctx.bvVar("x")), a));
 }
 
@@ -85,7 +85,7 @@ TEST(Layout, AttackerRegionConcreteAndSymbolicAgree)
     expr::Assignment a;
     for (std::uint64_t set : {0ULL, 60ULL, 61ULL, 127ULL}) {
         const std::uint64_t addr = 0x80000 + set * 64;
-        a.bvVars["x"] = addr;
+        a.setBv(ctx.bvVar("x"), addr);
         EXPECT_EQ(expr::evalBool(ar.containsExpr(ctx, ctx.bvVar("x")), a),
                   ar.contains(addr))
             << set;
@@ -137,7 +137,7 @@ TEST(Models, MlineObservesSetIndexBits)
     ASSERT_EQ(paths[0].obs.size(), 3u);
     // The line observation is (x0 >> 6) & 127, not the full address.
     expr::Assignment a;
-    a.bvVars["x0_1"] = 0x80000 + 70 * 64 + 8;
+    a.setBv(ctx.bvVar("x0_1"), 0x80000 + 70 * 64 + 8);
     EXPECT_EQ(expr::evalBv(paths[0].obs[1].value, a), 70u);
 }
 
@@ -151,11 +151,11 @@ TEST(Models, MpartHidesAddressesOutsideAr)
     ASSERT_EQ(paths[0].obs.size(), 3u);
     expr::Assignment a;
     // Outside AR: sentinel 0.
-    a.bvVars["x0_1"] = 0x80000 + 10 * 64;
+    a.setBv(ctx.bvVar("x0_1"), 0x80000 + 10 * 64);
     EXPECT_EQ(expr::evalBv(paths[0].obs[1].value, a), 0u);
     // Inside AR: the address itself.
-    a.bvVars["x0_1"] = 0x80000 + 100 * 64;
-    EXPECT_EQ(expr::evalBv(paths[0].obs[1].value, a), a.bv("x0_1"));
+    a.setBv(ctx.bvVar("x0_1"), 0x80000 + 100 * 64);
+    EXPECT_EQ(expr::evalBv(paths[0].obs[1].value, a), a.bv(ctx.bvVar("x0_1")));
 }
 
 TEST(Models, MpartRefinedAddsUnconditionalAddress)

@@ -252,36 +252,50 @@ TEST(Pipeline, DeriveProgramSeedSpreadsAndIsStable)
     EXPECT_NE(deriveProgramSeed(42, 0), 42u);
 }
 
+/** The variables symbolic execution of states _1 and _2 leaves in a
+ *  context: registers x0..x`regs-1` and both memories. */
+void
+internStates(expr::ExprContext &ctx, int regs)
+{
+    for (const char *sfx : {"_1", "_2"}) {
+        for (int r = 0; r < regs; ++r)
+            ctx.bvVar("x" + std::to_string(r) + sfx);
+        ctx.memVar(std::string("mem") + sfx);
+    }
+}
+
 TEST(Pipeline, SymmetrizeModelPreservesRequiredDifferences)
 {
     expr::ExprContext ctx;
+    internStates(ctx, 3);
     const bir::Program prog =
         bir::assemble("ldr x1, [x0]\nldr x2, [x1]\nret\n").program;
+    auto x = [&](const char *name) { return ctx.bvVar(name); };
     // The relation requires equal x0 and *different* x1 (a
     // refinement disequality); x2 and memory are unconstrained.
     expr::Expr f = ctx.conj({
-        ctx.eq(ctx.bvVar("x0_1"), ctx.bvVar("x0_2")),
-        ctx.neq(ctx.bvVar("x1_1"), ctx.bvVar("x1_2")),
+        ctx.eq(x("x0_1"), x("x0_2")),
+        ctx.neq(x("x1_1"), x("x1_2")),
     });
     expr::Assignment model;
-    model.bvVars["x0_1"] = 8;
-    model.bvVars["x0_2"] = 8;
-    model.bvVars["x1_1"] = 100;
-    model.bvVars["x1_2"] = 200;
-    model.bvVars["x2_1"] = 7;
-    model.bvVars["x2_2"] = 9;
-    model.mems["mem_1"].storeWord(0x100, 5);
-    model.mems["mem_2"].storeWord(0x100, 6);
+    model.setBv(x("x0_1"), 8);
+    model.setBv(x("x0_2"), 8);
+    model.setBv(x("x1_1"), 100);
+    model.setBv(x("x1_2"), 200);
+    model.setBv(x("x2_1"), 7);
+    model.setBv(x("x2_2"), 9);
+    model.memOf(ctx.memVar("mem_1")).storeWord(0x100, 5);
+    model.memOf(ctx.memVar("mem_2")).storeWord(0x100, 6);
 
     Rng rng(1);
-    symmetrizeModel(f, prog, model, rng, 1.0);
+    symmetrizeModel(f, modelVars(ctx, prog), model, rng, 1.0);
 
     // Required difference survives...
-    EXPECT_NE(model.bv("x1_1"), model.bv("x1_2"));
+    EXPECT_NE(model.bv(x("x1_1")), model.bv(x("x1_2")));
     // ...incidental asymmetry is merged away.
-    EXPECT_EQ(model.bv("x0_1"), model.bv("x0_2"));
-    EXPECT_EQ(model.bv("x2_2"), 7u);
-    EXPECT_EQ(model.mems["mem_2"].load(0x100), 5u);
+    EXPECT_EQ(model.bv(x("x0_1")), model.bv(x("x0_2")));
+    EXPECT_EQ(model.bv(x("x2_2")), 7u);
+    EXPECT_EQ(model.mem(ctx.memVar("mem_2"))->load(0x100), 5u);
 }
 
 /**
@@ -290,8 +304,9 @@ TEST(Pipeline, SymmetrizeModelPreservesRequiredDifferences)
  * formula still holds.
  */
 void
-copyingSymmetrize(expr::Expr formula, const bir::Program &program,
-                  expr::Assignment &model, Rng &rng, double bias)
+copyingSymmetrize(expr::ExprContext &ctx, expr::Expr formula,
+                  const bir::Program &program, expr::Assignment &model,
+                  Rng &rng, double bias)
 {
     auto try_merge = [&](auto mutate) {
         if (!rng.chance(bias))
@@ -301,62 +316,60 @@ copyingSymmetrize(expr::Expr formula, const bir::Program &program,
         if (expr::evalBool(formula, candidate))
             model = std::move(candidate);
     };
-    auto x = [](bir::Reg r, const char *suffix) {
-        return "x" + std::to_string(r) + suffix;
+    auto x = [&](bir::Reg r, const char *suffix) {
+        return ctx.bvVar("x" + std::to_string(r) + suffix);
     };
+    const expr::Expr mem1 = ctx.memVar("mem_1");
+    const expr::Expr mem2 = ctx.memVar("mem_2");
     try_merge([&](expr::Assignment &c) {
         for (bir::Reg r : program.usedRegs())
-            c.bvVars[x(r, "_2")] = c.bv(x(r, "_1"));
-        if (auto m1 = c.mems.find("mem_1"); m1 != c.mems.end()) {
-            auto cells = m1->second.entries();
+            c.setBv(x(r, "_2"), c.bv(x(r, "_1")));
+        if (const expr::ConcreteMemory *m1 = c.mem(mem1)) {
+            auto cells = m1->entries();
             for (const auto &[addr, val] : cells)
-                c.mems["mem_2"].storeWord(addr, val);
+                c.memOf(mem2).storeWord(addr, val);
         }
     });
     for (bir::Reg r : program.usedRegs()) {
         if (model.bv(x(r, "_1")) == model.bv(x(r, "_2")))
             continue;
         try_merge([&](expr::Assignment &c) {
-            c.bvVars[x(r, "_2")] = c.bv(x(r, "_1"));
+            c.setBv(x(r, "_2"), c.bv(x(r, "_1")));
         });
     }
     std::vector<std::pair<std::uint64_t, std::uint64_t>> mem1_cells;
-    if (auto m1 = model.mems.find("mem_1"); m1 != model.mems.end())
-        for (const auto &[addr, val] : m1->second.entries())
+    if (const expr::ConcreteMemory *m1 = model.mem(mem1))
+        for (const auto &[addr, val] : m1->entries())
             mem1_cells.emplace_back(addr, val);
     for (const auto &[a, v] : mem1_cells) {
-        auto m2 = model.mems.find("mem_2");
-        if (m2 != model.mems.end() && m2->second.contains(a) &&
-            m2->second.load(a) == v)
+        const expr::ConcreteMemory *m2 = model.mem(mem2);
+        if (m2 && m2->contains(a) && m2->load(a) == v)
             continue;
         try_merge([&](expr::Assignment &c) {
-            c.mems["mem_2"].storeWord(a, v);
+            c.memOf(mem2).storeWord(a, v);
         });
     }
 }
 
-/** Every map of the model in sorted key order, values included.  A
+/** Every value of the model in slot order, values included.  A
  *  memory without words prints like an absent one: both read as 0. */
 std::string
 layout(const expr::Assignment &a)
 {
     std::string out;
-    for (const auto &[name, v] :
-         std::map<std::string, std::uint64_t>(a.bvVars.begin(),
-                                              a.bvVars.end()))
-        out += name + "=" + std::to_string(v) + " ";
+    a.bvVars.forEach([&](std::uint32_t slot, std::uint64_t v) {
+        out += "v" + std::to_string(slot) + "=" + std::to_string(v) + " ";
+    });
     out += "|";
-    for (const auto &[name, mem] :
-         std::map<std::string, expr::ConcreteMemory>(a.mems.begin(),
-                                                     a.mems.end())) {
+    a.mems.forEach([&](std::uint32_t slot, const expr::ConcreteMemory &mem) {
         if (mem.entries().empty())
-            continue;
-        out += " " + name + ":";
+            return;
+        out += " m" + std::to_string(slot) + ":";
         for (const auto &[addr, v] :
              std::map<std::uint64_t, std::uint64_t>(
                  mem.entries().begin(), mem.entries().end()))
             out += " " + std::to_string(addr) + "=" + std::to_string(v);
-    }
+    });
     return out;
 }
 
@@ -370,6 +383,7 @@ TEST(Pipeline, SymmetrizeModelMatchesCopyingReference)
             .program;
     for (std::uint64_t seed = 1; seed <= 300; ++seed) {
         expr::ExprContext ctx;
+        internStates(ctx, 5);
         Rng gen(seed);
         auto reg = [&](int state) {
             return ctx.bvVar("x" + std::to_string(gen.below(5)) + "_" +
@@ -394,13 +408,14 @@ TEST(Pipeline, SymmetrizeModelMatchesCopyingReference)
         for (int r = 0; r < 5; ++r) {
             for (const char *sfx : {"_1", "_2"})
                 if (gen.chance(0.7))
-                    model.bvVars["x" + std::to_string(r) + sfx] =
-                        gen.below(100);
+                    model.setBv(ctx.bvVar("x" + std::to_string(r) + sfx),
+                                gen.below(100));
         }
         for (int state = 1; state <= 2; ++state) {
             if (gen.chance(0.2))
                 continue;
-            auto &mem = model.mems["mem_" + std::to_string(state)];
+            auto &mem =
+                model.memOf(ctx.memVar("mem_" + std::to_string(state)));
             const std::uint64_t words = gen.below(40);
             for (std::uint64_t w = 0; w < words; ++w)
                 mem.storeWord(8 * gen.below(40), gen.below(3));
@@ -409,8 +424,8 @@ TEST(Pipeline, SymmetrizeModelMatchesCopyingReference)
         const double bias = gen.chance(0.2) ? 0.5 : 1.0;
         expr::Assignment expect = model;
         Rng rng_expect(seed), rng(seed);
-        copyingSymmetrize(f, prog, expect, rng_expect, bias);
-        symmetrizeModel(f, prog, model, rng, bias);
+        copyingSymmetrize(ctx, f, prog, expect, rng_expect, bias);
+        symmetrizeModel(f, modelVars(ctx, prog), model, rng, bias);
         ASSERT_EQ(layout(model), layout(expect)) << "seed " << seed;
         ASSERT_EQ(rng.next(), rng_expect.next()) << "seed " << seed;
     }
@@ -419,16 +434,17 @@ TEST(Pipeline, SymmetrizeModelMatchesCopyingReference)
 TEST(Pipeline, SymmetrizeModelZeroBiasIsANoOp)
 {
     expr::ExprContext ctx;
+    internStates(ctx, 2);
     const bir::Program prog =
         bir::assemble("ldr x1, [x0]\nret\n").program;
     expr::Expr f = ctx.eq(ctx.bvVar("x0_1"), ctx.bvVar("x0_1"));
     expr::Assignment model;
-    model.bvVars["x1_1"] = 1;
-    model.bvVars["x1_2"] = 2;
+    model.setBv(ctx.bvVar("x1_1"), 1);
+    model.setBv(ctx.bvVar("x1_2"), 2);
     Rng rng(1);
-    symmetrizeModel(f, prog, model, rng, 0.0);
-    EXPECT_EQ(model.bv("x1_1"), 1u);
-    EXPECT_EQ(model.bv("x1_2"), 2u);
+    symmetrizeModel(f, modelVars(ctx, prog), model, rng, 0.0);
+    EXPECT_EQ(model.bv(ctx.bvVar("x1_1")), 1u);
+    EXPECT_EQ(model.bv(ctx.bvVar("x1_2")), 2u);
 }
 
 TEST(Pipeline, ScaleFromEnvRejectsMalformedValues)

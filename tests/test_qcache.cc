@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bir/transform.hh"
@@ -20,9 +21,11 @@
 #include "rel/relation.hh"
 #include "smt/solver.hh"
 #include "support/faults.hh"
+#include "support/linecodec.hh"
 #include "support/metrics.hh"
 #include "support/qcache/cached_solve.hh"
 #include "support/qcache/qcache.hh"
+#include "support/rng.hh"
 #include "sym/symexec.hh"
 
 namespace scamv::qcache {
@@ -50,6 +53,22 @@ readFile(const std::string &path)
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
+}
+
+/**
+ * @return v's value in `m`.  Fails the test when `m` leaves v unset:
+ * an unset slot reads as 0 through Assignment::bv, which would hide a
+ * variable that a model lost on the way.
+ */
+std::uint64_t
+bvAt(const expr::Assignment &m, Expr v)
+{
+    const std::uint64_t *value = m.bvVars.find(v->slot);
+    if (!value) {
+        ADD_FAILURE() << "model leaves " << v->name << " unset";
+        return ~std::uint64_t{0};
+    }
+    return *value;
 }
 
 // ---------------------------------------------------------------------
@@ -90,10 +109,10 @@ TEST(Canon, CommutativeOperandSwapIsAFullHit)
     const CanonForm c2 = canonicalize(f2);
     EXPECT_EQ(c1.key, c2.key);
     EXPECT_EQ(c1.fingerprint, c2.fingerprint);
-    // The name maps differ (x is v0 in f1, y is v0 in f2) — exactly
-    // what makes the shared model replay correctly for both.
-    EXPECT_EQ(c1.toCanon.at("x"), "v0");
-    EXPECT_EQ(c2.toCanon.at("y"), "v0");
+    // The variable orders differ (x is v0 in f1, y is v0 in f2) —
+    // exactly what makes the shared model replay correctly for both.
+    EXPECT_EQ(c1.bvs, (std::vector<Expr>{x, y}));
+    EXPECT_EQ(c2.bvs, (std::vector<Expr>{y, x}));
 }
 
 TEST(Canon, ShapeDistinctReorderSharesKeyNotFingerprint)
@@ -119,19 +138,319 @@ TEST(Canon, ShapeDistinctReorderSharesKeyNotFingerprint)
 TEST(Canon, ModelTranslationRoundTrips)
 {
     expr::ExprContext ctx;
-    const Expr f = ctx.land(ctx.eq(ctx.bvVar("addr"), ctx.bv(5)),
-                            ctx.boolVar("flag"));
+    const Expr addr = ctx.bvVar("addr");
+    const Expr flag = ctx.boolVar("flag");
+    const Expr mem = ctx.memVar("mem");
+    const Expr f = ctx.land(ctx.eq(addr, ctx.read(mem, ctx.bv(8))), flag);
     const CanonForm form = canonicalize(f);
 
     expr::Assignment orig;
-    orig.bvVars["addr"] = 5;
-    orig.boolVars["flag"] = true;
-    const expr::Assignment canon = toCanonical(form, orig);
-    EXPECT_EQ(canon.bvVars.at("v0"), 5u);
-    EXPECT_EQ(canon.boolVars.at("b0"), true);
+    orig.setBv(addr, 5);
+    orig.setBool(flag, true);
+    orig.memOf(mem).storeWord(8, 5);
+    const CanonModel canon = toCanonical(form, orig);
+    ASSERT_TRUE(canon.bvVars.has(0) && canon.boolVars.has(0) &&
+                canon.mems.has(0));
+    EXPECT_EQ(*canon.bvVars.find(0), 5u);
+    EXPECT_EQ(*canon.boolVars.find(0), true);
+    EXPECT_EQ(canon.mems.find(0)->load(8), 5u);
     const expr::Assignment back = toOriginal(form, canon);
-    EXPECT_EQ(back.bvVars.at("addr"), 5u);
-    EXPECT_EQ(back.boolVars.at("flag"), true);
+    EXPECT_EQ(bvAt(back, addr), 5u);
+    EXPECT_EQ(back.boolean(flag), true);
+    ASSERT_TRUE(back.mem(mem));
+    EXPECT_EQ(back.mem(mem)->load(8), 5u);
+}
+
+TEST(Canon, PresenceSurvivesTranslation)
+{
+    // Only set variables come back, and a set zero or false stays
+    // set: presence decides which variables a record lists.
+    expr::ExprContext ctx;
+    const Expr x = ctx.bvVar("x");
+    const Expr y = ctx.bvVar("y");
+    const Expr p = ctx.boolVar("p");
+    const Expr q = ctx.boolVar("q");
+    const Expr f = ctx.land(ctx.land(ctx.ult(x, y), p), q);
+    const CanonForm form = canonicalize(f);
+
+    expr::Assignment orig;
+    orig.setBv(y, 0);
+    orig.setBool(q, false);
+    const expr::Assignment back = toOriginal(form, toCanonical(form, orig));
+    EXPECT_FALSE(back.bvVars.has(x->slot));
+    EXPECT_TRUE(back.bvVars.has(y->slot));
+    EXPECT_FALSE(back.boolVars.has(p->slot));
+    EXPECT_TRUE(back.boolVars.has(q->slot));
+    EXPECT_TRUE(back.mems.empty());
+    // Unset slots read as zero and false, like set zeros.
+    EXPECT_EQ(back.bv(x), 0u);
+    EXPECT_FALSE(back.boolean(p));
+}
+
+// ---------------------------------------------------------------------
+// Differential canonicalization against the map-based implementation
+
+/**
+ * canonicalize() as it was before the flat tables: node-keyed maps,
+ * a separate alpha-assignment walk per order, and one Merkle walk per
+ * hash lane.  Returns the canonical name of every variable.
+ */
+namespace mapcanon {
+
+using expr::Kind;
+
+constexpr std::uint64_t kSeedLaneHi = 0x5ca77e5700010001ULL;
+constexpr std::uint64_t kSeedLaneLo = 0x5ca77e5700020002ULL;
+constexpr std::uint64_t kSeedShape = 0x5ca77e5700030003ULL;
+constexpr std::uint64_t kSeedFp = 0x5ca77e5700040004ULL;
+
+bool
+isVar(Expr e)
+{
+    return e->kind == Kind::BvVar || e->kind == Kind::BoolVar ||
+           e->kind == Kind::MemVar;
+}
+
+bool
+isCommutative(Kind k)
+{
+    switch (k) {
+      case Kind::Add: case Kind::Mul: case Kind::BvAnd: case Kind::BvOr:
+      case Kind::BvXor: case Kind::Eq: case Kind::And: case Kind::Or:
+        return true;
+      default:
+        return false;
+    }
+}
+
+std::uint64_t
+kindTag(Expr e)
+{
+    return (static_cast<std::uint64_t>(e->kind) << 8) |
+           static_cast<std::uint64_t>(e->sort);
+}
+
+std::uint64_t
+shapeOf(Expr e, std::unordered_map<Expr, std::uint64_t> &memo)
+{
+    if (auto it = memo.find(e); it != memo.end())
+        return it->second;
+    std::uint64_t h = mixKey(kSeedShape, kindTag(e));
+    if (e->isConst()) {
+        h = mixKey(h, e->value);
+    } else if (!isVar(e)) {
+        std::vector<std::uint64_t> kid_hashes;
+        for (Expr kid : e->kids)
+            kid_hashes.push_back(shapeOf(kid, memo));
+        if (isCommutative(e->kind))
+            std::stable_sort(kid_hashes.begin(), kid_hashes.end());
+        for (std::uint64_t kh : kid_hashes)
+            h = mixKey(h, kh);
+        h = mixKey(h, kid_hashes.size());
+    }
+    memo.emplace(e, h);
+    return h;
+}
+
+template <class KidsOf>
+void
+assignAlpha(Expr root, KidsOf &&kids_of,
+            std::unordered_map<Expr, std::uint64_t> &index)
+{
+    std::uint64_t counters[3] = {0, 0, 0};
+    std::unordered_map<Expr, bool> visited;
+    auto dfs = [&](auto &&self, Expr e) -> void {
+        if (visited.count(e))
+            return;
+        visited.emplace(e, true);
+        if (isVar(e)) {
+            index.emplace(e, counters[static_cast<int>(e->sort)]++);
+            return;
+        }
+        for (Expr kid : kids_of(e))
+            self(self, kid);
+    };
+    dfs(dfs, root);
+}
+
+template <class KidsOf>
+std::uint64_t
+merkle(Expr root, std::uint64_t seed, KidsOf &&kids_of,
+       const std::unordered_map<Expr, std::uint64_t> &index)
+{
+    std::unordered_map<Expr, std::uint64_t> memo;
+    auto walk = [&](auto &&self, Expr e) -> std::uint64_t {
+        if (auto it = memo.find(e); it != memo.end())
+            return it->second;
+        std::uint64_t h = mixKey(seed, kindTag(e));
+        if (e->isConst()) {
+            h = mixKey(h, e->value);
+        } else if (isVar(e)) {
+            h = mixKey(h, index.at(e));
+        } else {
+            for (Expr kid : kids_of(e))
+                h = mixKey(h, self(self, kid));
+            h = mixKey(h, e->kids.size());
+        }
+        memo.emplace(e, h);
+        return h;
+    };
+    return walk(walk, root);
+}
+
+struct Form {
+    Key key;
+    std::uint64_t fingerprint = 0;
+    std::unordered_map<std::string, std::string> toCanon;
+};
+
+Form
+canonicalize(Expr formula)
+{
+    Form form;
+    std::unordered_map<Expr, std::uint64_t> shape_memo;
+    shapeOf(formula, shape_memo);
+    std::unordered_map<Expr, std::vector<Expr>> sorted_memo;
+    auto sorted_kids = [&](Expr e) -> const std::vector<Expr> & {
+        if (!isCommutative(e->kind))
+            return e->kids;
+        auto it = sorted_memo.find(e);
+        if (it == sorted_memo.end()) {
+            std::vector<Expr> kids = e->kids;
+            std::stable_sort(kids.begin(), kids.end(),
+                             [&](Expr a, Expr b) {
+                                 return shape_memo.at(a) <
+                                        shape_memo.at(b);
+                             });
+            it = sorted_memo.emplace(e, std::move(kids)).first;
+        }
+        return it->second;
+    };
+    auto original_kids = [](Expr e) -> const std::vector<Expr> & {
+        return e->kids;
+    };
+    std::unordered_map<Expr, std::uint64_t> sem_index;
+    assignAlpha(formula, sorted_kids, sem_index);
+    form.key.hi = merkle(formula, kSeedLaneHi, sorted_kids, sem_index);
+    form.key.lo = merkle(formula, kSeedLaneLo, sorted_kids, sem_index);
+    std::unordered_map<Expr, std::uint64_t> fp_index;
+    assignAlpha(formula, original_kids, fp_index);
+    form.fingerprint = merkle(formula, kSeedFp, original_kids, fp_index);
+    for (const auto &[node, index] : sem_index) {
+        const char *prefix = node->kind == Kind::BvVar     ? "v"
+                             : node->kind == Kind::BoolVar ? "b"
+                                                           : "m";
+        form.toCanon.emplace(node->name,
+                             prefix + std::to_string(index));
+    }
+    return form;
+}
+
+} // namespace mapcanon
+
+/**
+ * Random formulas for the differential test: several variables of
+ * each sort, commutative operands in random order, reads through
+ * store chains, and subterms shared through a pool.
+ */
+struct RandomFormula {
+    expr::ExprContext &ctx;
+    Rng rng;
+    std::vector<Expr> bvs, bools, mems;
+
+    RandomFormula(expr::ExprContext &c, std::uint64_t seed)
+        : ctx(c), rng(seed)
+    {
+        for (int i = 0; i < 5; ++i)
+            bvs.push_back(ctx.bvVar("x" + std::to_string(i)));
+        for (int i = 0; i < 3; ++i)
+            bools.push_back(ctx.boolVar("p" + std::to_string(i)));
+        for (int i = 0; i < 2; ++i)
+            mems.push_back(ctx.memVar("m" + std::to_string(i)));
+        bvs.push_back(ctx.bv(8));
+        bvs.push_back(ctx.bv(0x80000));
+    }
+
+    Expr
+    pick(const std::vector<Expr> &pool)
+    {
+        return pool[rng.below(pool.size())];
+    }
+
+    Expr
+    bv(int depth)
+    {
+        if (depth == 0 || rng.chance(0.25))
+            return pick(bvs);
+        Expr a = bv(depth - 1), b = bv(depth - 1);
+        if (rng.chance(0.5))
+            std::swap(a, b);
+        Expr t;
+        switch (rng.below(9)) {
+          case 0: t = ctx.add(a, b); break;
+          case 1: t = ctx.mul(a, b); break;
+          case 2: t = ctx.bvXor(a, b); break;
+          case 3: t = ctx.bvAnd(a, b); break;
+          case 4: t = ctx.sub(a, b); break;
+          case 5: t = ctx.lshr(a, ctx.bv(rng.below(8))); break;
+          case 6: t = ctx.ite(boolean(depth - 1), a, b); break;
+          case 7: t = ctx.read(mem(depth - 1), a); break;
+          default: t = ctx.bvOr(a, b); break;
+        }
+        bvs.push_back(t); // shared by later picks
+        return t;
+    }
+
+    Expr
+    mem(int depth)
+    {
+        Expr m = pick(mems);
+        for (int i = 0, n = static_cast<int>(rng.below(3)); i < n; ++i)
+            m = ctx.store(m, bv(depth > 0 ? depth - 1 : 0), pick(bvs));
+        return m;
+    }
+
+    Expr
+    boolean(int depth)
+    {
+        if (depth == 0 || rng.chance(0.2))
+            return pick(bools);
+        switch (rng.below(5)) {
+          case 0: return ctx.eq(bv(depth - 1), bv(depth - 1));
+          case 1: return ctx.ult(bv(depth - 1), bv(depth - 1));
+          case 2: return ctx.land(boolean(depth - 1), boolean(depth - 1));
+          case 3: return ctx.lor(boolean(depth - 1), boolean(depth - 1));
+          default: return ctx.lnot(boolean(depth - 1));
+        }
+    }
+};
+
+TEST(Canon, MatchesMapBasedCanonicalization)
+{
+    int vars_checked = 0;
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        expr::ExprContext ctx;
+        RandomFormula gen(ctx, seed);
+        const Expr f = gen.boolean(5);
+        const CanonForm form = canonicalize(f);
+        const mapcanon::Form ref = mapcanon::canonicalize(f);
+        ASSERT_EQ(form.key.hi, ref.key.hi) << "seed " << seed;
+        ASSERT_EQ(form.key.lo, ref.key.lo) << "seed " << seed;
+        ASSERT_EQ(form.fingerprint, ref.fingerprint) << "seed " << seed;
+        ASSERT_EQ(form.bvs.size() + form.bools.size() + form.mems.size(),
+                  ref.toCanon.size())
+            << "seed " << seed;
+        for (Expr v : expr::collectVars(f)) {
+            const int index = canonicalIndex(form, v);
+            ASSERT_GE(index, 0) << "seed " << seed;
+            EXPECT_EQ(canonicalName(v->sort,
+                                    static_cast<std::uint32_t>(index)),
+                      ref.toCanon.at(v->name))
+                << "seed " << seed << " var " << v->name;
+            ++vars_checked;
+        }
+    }
+    EXPECT_GT(vars_checked, 1500);
 }
 
 // ---------------------------------------------------------------------
@@ -213,14 +532,14 @@ TEST(Cache, CachedModelsAreRevalidatedBeforeUse)
     Entry poison;
     poison.sat = true;
     poison.fingerprint = form.fingerprint;
-    poison.model.bvVars["v0"] = 6;
+    poison.model.bvVars[0] = 6;
     cache.store(solveKey(form, 200000), poison);
 
     const std::uint64_t d0 = globalCounter("qcache.validation_dropped");
     const SolveResult r = solveOnce(ctx, f, 200000, &cache);
     ASSERT_EQ(r.outcome, smt::Outcome::Sat);
     ASSERT_TRUE(r.model);
-    EXPECT_EQ(r.model->bvVars.at("x"), 5u);
+    EXPECT_EQ(bvAt(*r.model, ctx.bvVar("x")), 5u);
     EXPECT_EQ(globalCounter("qcache.validation_dropped"), d0 + 1);
 
     // The recomputed result replaced the poisoned entry: next query
@@ -228,7 +547,7 @@ TEST(Cache, CachedModelsAreRevalidatedBeforeUse)
     const std::uint64_t h0 = globalCounter("qcache.hit");
     const SolveResult r2 = solveOnce(ctx, f, 200000, &cache);
     ASSERT_TRUE(r2.model);
-    EXPECT_EQ(r2.model->bvVars.at("x"), 5u);
+    EXPECT_EQ(bvAt(*r2.model, ctx.bvVar("x")), 5u);
     EXPECT_EQ(globalCounter("qcache.hit"), h0 + 1);
 }
 
@@ -355,7 +674,7 @@ TEST(Persist, CorruptRecordsAreDroppedAndCounted)
         Entry e;
         e.sat = true;
         e.fingerprint = 9;
-        e.model.bvVars["v0"] = 5;
+        e.model.bvVars[0] = 5;
         cache.store(Key{10, 11}, e);
     }
     // Damage the file: garbage, a truncated record, a flipped
@@ -409,9 +728,77 @@ TEST(Persist, ParentFormatCheckpointLoads)
     const SolveResult r = solveOnce(ctx, f, 200000, &cache);
     ASSERT_EQ(r.outcome, smt::Outcome::Sat);
     ASSERT_TRUE(r.model);
-    EXPECT_EQ(r.model->bvVars.at("x"), 0u);
+    EXPECT_EQ(bvAt(*r.model, ctx.bvVar("x")), 0u);
     EXPECT_EQ(globalCounter("qcache.hit"), h0 + 1);
     EXPECT_EQ(globalCounter("qcache.miss"), m0);
+    std::remove(path.c_str());
+}
+
+TEST(Persist, EnumeratorStepKeysArePinned)
+{
+    // The keys of an enumeration's first two steps, as computed before
+    // models were keyed by variable slot: the chain salt hashes each
+    // blocked variable's canonical name text (z, outside the formula,
+    // gets its index from extendVars), so a change to canonical
+    // indices, names or the salt shows here.
+    expr::ExprContext ctx;
+    const Expr x = ctx.bvVar("x");
+    const Expr y = ctx.bvVar("y");
+    const Expr z = ctx.bvVar("z");
+    const Expr f = ctx.land(ctx.ult(x, ctx.bv(6)),
+                            ctx.eq(y, ctx.add(x, ctx.bv(1))));
+    const std::string path = tmpPath("step_keys");
+    std::remove(path.c_str());
+    {
+        QueryCache cache({1 << 20, path});
+        CachedEnumerator en(ctx, f, {y, z, x}, 12, &cache);
+        ASSERT_EQ(en.next(200000).outcome, smt::Outcome::Sat);
+        ASSERT_EQ(en.next(200000).outcome, smt::Outcome::Sat);
+    }
+    std::istringstream lines(readFile(path));
+    std::string line;
+    std::vector<std::string> keys;
+    while (std::getline(lines, line))
+        if (line != kFileHeader)
+            keys.push_back(line.substr(0, 33)); // "<hi> <lo>"
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "8e4b1ab08efd64d0 c375fcabe1adf79e",
+                        "ee8b961b3c2bd354 56facd14706d2260"}));
+    std::remove(path.c_str());
+}
+
+TEST(Persist, NonCanonicalModelNamesAreDropped)
+{
+    // Models are stored by canonical index, so a record naming a
+    // variable any other way is foreign or damaged: dropped and
+    // counted, never half-loaded.
+    const std::string body = "c9a66795b1089492 f2246c2d225f91e2 "
+                             "f9a36eee0659cbde S - ";
+    const std::vector<std::string> bad = {
+        "v!x:0#",  "v!v01:0#", "v!b0:0#",    "v!v:0#",
+        "o!v0:1#", "M!v0@8:1#", "v!v-1:0#", "v!v99999999:0#"};
+    for (const std::string &model : bad)
+        EXPECT_FALSE(decodeRecord(linecodec::seal(body + model)))
+            << model;
+    const std::string good = linecodec::seal(body + "v!v10:1,v!v2:0#");
+    const auto rec = decodeRecord(good);
+    ASSERT_TRUE(rec);
+    EXPECT_EQ(*rec->second.model.bvVars.find(10), 1u);
+    EXPECT_EQ(*rec->second.model.bvVars.find(2), 0u);
+    // Re-encoding lists the names sorted as strings, v10 before v2.
+    EXPECT_EQ(encodeRecord(rec->first, rec->second), good);
+
+    const std::string path = tmpPath("non_canonical");
+    {
+        std::ofstream out(path);
+        out << kFileHeader << "\n"
+            << linecodec::seal(body + "v!x:0#") << "\n";
+    }
+    const std::uint64_t d0 = globalCounter("qcache.load_dropped");
+    QueryCache cache({1 << 20, path});
+    EXPECT_EQ(globalCounter("qcache.load_dropped"), d0 + 1);
+    EXPECT_EQ(cache.loadDropped(), 1u);
+    EXPECT_EQ(cache.size(), 0u);
     std::remove(path.c_str());
 }
 
@@ -484,7 +871,7 @@ TEST(Faults, QcacheCorruptSiteDropsRecordsOnLoad)
         // ...and the campaign recomputes instead of failing.
         const SolveResult r = solveOnce(ctx, f, 200000, &damaged);
         ASSERT_EQ(r.outcome, smt::Outcome::Sat);
-        EXPECT_EQ(r.model->bvVars.at("x"), 5u);
+        EXPECT_EQ(bvAt(*r.model, ctx.bvVar("x")), 5u);
     }
     EXPECT_EQ(inj.injectedCount(), 2u);
 
@@ -521,7 +908,7 @@ TEST(Enumerator, ColdWarmAndUncachedStreamsAgree)
     {
         smt::SmtSolver solver(ctx, f);
         while (solver.solve(200000) == smt::Outcome::Sat) {
-            ref.push_back(solver.model().bvVars.at("x"));
+            ref.push_back(bvAt(solver.model(), ctx.bvVar("x")));
             if (!solver.blockCurrentModel(bvars, 12))
                 break;
         }
@@ -534,7 +921,7 @@ TEST(Enumerator, ColdWarmAndUncachedStreamsAgree)
             const CachedEnumerator::Step s = en.next(200000);
             if (s.outcome != smt::Outcome::Sat)
                 break;
-            out.push_back(s.model->bvVars.at("x"));
+            out.push_back(bvAt(*s.model, ctx.bvVar("x")));
             if (en.dead())
                 break;
         }
@@ -575,7 +962,7 @@ TEST(Enumerator, ColdWarmAndUncachedStreamsAgree)
                 hand.emplace_back(o, 0);
                 continue;
             }
-            hand.emplace_back(o, solver.model().bvVars.at("y"));
+            hand.emplace_back(o, bvAt(solver.model(), ctx.bvVar("y")));
             if (!solver.blockCurrentModel(yvars, 12))
                 break;
         }
@@ -585,7 +972,7 @@ TEST(Enumerator, ColdWarmAndUncachedStreamsAgree)
         const CachedEnumerator::Step s =
             assumed.nextWith(assumption(i), 200000);
         stepped.emplace_back(s.outcome,
-                             s.model ? s.model->bvVars.at("y") : 0);
+                             s.model ? bvAt(*s.model, ctx.bvVar("y")) : 0);
         if (assumed.dead())
             break;
     }

@@ -51,6 +51,13 @@ struct Synth {
         rel = std::make_unique<RelationSynthesizer>(
             ctx, std::move(p1), std::move(p2), cfg);
     }
+
+    /** @return the model's value of bv variable `name`. */
+    std::uint64_t
+    bv(const expr::Assignment &model, const char *name)
+    {
+        return model.bv(ctx.bvVar(name));
+    }
 };
 
 TEST(Relation, MctSamePathPairsOnly)
@@ -73,9 +80,9 @@ TEST(Relation, FormulaForcesEqualAddresses)
     smt::SmtSolver solver(s.ctx, f);
     ASSERT_EQ(solver.solve(), smt::Outcome::Sat);
     auto model = solver.model();
-    EXPECT_EQ(model.bv("x0_1"), model.bv("x0_2"));
+    EXPECT_EQ(s.bv(model, "x0_1"), s.bv(model, "x0_2"));
     // Region constraint applied.
-    EXPECT_GE(model.bv("x0_1"), 0x80000u);
+    EXPECT_GE(s.bv(model, "x0_1"), 0x80000u);
 }
 
 TEST(Relation, RefinementRequiresDifference)
@@ -100,17 +107,17 @@ TEST(Relation, RefinementRequiresDifference)
             auto model = solver.model();
             EXPECT_TRUE(expr::evalBool(f, model));
             // Architectural equality.
-            EXPECT_EQ(model.bv("x0_1") + model.bv("x1_1"),
-                      model.bv("x0_2") + model.bv("x1_2"));
+            EXPECT_EQ(s.bv(model, "x0_1") + s.bv(model, "x1_1"),
+                      s.bv(model, "x0_2") + s.bv(model, "x1_2"));
             // Transient addresses differ: x5 + mem[x0+x1].
             const std::uint64_t t1 =
-                model.bv("x5_1") +
-                model.mems["mem_1"].load(model.bv("x0_1") +
-                                         model.bv("x1_1"));
+                s.bv(model, "x5_1") +
+                model.memOf(s.ctx.memVar("mem_1"))
+                    .load(s.bv(model, "x0_1") + s.bv(model, "x1_1"));
             const std::uint64_t t2 =
-                model.bv("x5_2") +
-                model.mems["mem_2"].load(model.bv("x0_2") +
-                                         model.bv("x1_2"));
+                s.bv(model, "x5_2") +
+                model.memOf(s.ctx.memVar("mem_2"))
+                    .load(s.bv(model, "x0_2") + s.bv(model, "x1_2"));
             EXPECT_NE(t1, t2);
         }
     }
@@ -152,9 +159,9 @@ TEST(Relation, MpartAllowsCrossPathEquivalence)
     // Refinement: addresses differ; Mpart equality: both outside AR
     // or equal. Hence both outside AR.
     obs::AttackerRegion ar;
-    EXPECT_NE(model.bv("x0_1"), model.bv("x0_2"));
-    EXPECT_FALSE(ar.contains(model.bv("x0_1")));
-    EXPECT_FALSE(ar.contains(model.bv("x0_2")));
+    EXPECT_NE(s.bv(model, "x0_1"), s.bv(model, "x0_2"));
+    EXPECT_FALSE(ar.contains(s.bv(model, "x0_1")));
+    EXPECT_FALSE(ar.contains(s.bv(model, "x0_2")));
 }
 
 TEST(Relation, LineCoverageConstraintPinsSetIndex)
@@ -200,7 +207,7 @@ TEST(Relation, LineCoverageConstraintForPinsChosenClass)
                           cov->constraint));
     ASSERT_EQ(solver.solve(), smt::Outcome::Sat);
     auto model = solver.model();
-    EXPECT_EQ(geom.setOf(model.bv("x0_1")), 5u);
+    EXPECT_EQ(geom.setOf(s.bv(model, "x0_1")), 5u);
 }
 
 TEST(Relation, NoMemoryAccessNoLineCoverage)
@@ -226,9 +233,9 @@ TEST(Relation, TrainingFormulaTakesOtherPath)
         // The training state must take the opposite branch direction:
         // tested taken (x1 != x4) => training has x1 == x4.
         if (tested.decisions[0])
-            EXPECT_EQ(model.bv("x1_t"), model.bv("x4_t"));
+            EXPECT_EQ(s.bv(model, "x1_t"), s.bv(model, "x4_t"));
         else
-            EXPECT_NE(model.bv("x1_t"), model.bv("x4_t"));
+            EXPECT_NE(s.bv(model, "x1_t"), s.bv(model, "x4_t"));
     }
 }
 
@@ -249,13 +256,13 @@ TEST(Relation, FullEquivalenceRelationEvaluates)
     // Two identical states are always related.
     expr::Assignment a;
     for (const char *r : {"x0", "x1", "x2"}) {
-        a.bvVars[std::string(r) + "_1"] = 7;
-        a.bvVars[std::string(r) + "_2"] = 7;
+        a.setBv(s.ctx.bvVar(std::string(r) + "_1"), 7);
+        a.setBv(s.ctx.bvVar(std::string(r) + "_2"), 7);
     }
     EXPECT_TRUE(expr::evalBool(full, a));
     // States on different paths are not related (different obs).
-    a.bvVars["x1_2"] = 0xFFFF;
-    a.bvVars["x0_2"] = 0xFFFFFF; // x0 >= x1+...: not taken for s2
+    a.setBv(s.ctx.bvVar("x1_2"), 0xFFFF);
+    a.setBv(s.ctx.bvVar("x0_2"), 0xFFFFFF); // x0 >= x1+...: not taken for s2
     EXPECT_FALSE(expr::evalBool(full, a));
 }
 
@@ -280,11 +287,11 @@ TEST(Relation, Mspec1RefinedByMspecOnIndependentLoads)
         ASSERT_EQ(solver.solve(), smt::Outcome::Sat);
         auto model = solver.model();
         // First transient load equal across states.
-        EXPECT_EQ(model.bv("x5_1") + model.bv("x3_1"),
-                  model.bv("x5_2") + model.bv("x3_2"));
+        EXPECT_EQ(s.bv(model, "x5_1") + s.bv(model, "x3_1"),
+                  s.bv(model, "x5_2") + s.bv(model, "x3_2"));
         // Second transient load differs.
-        EXPECT_NE(model.bv("x7_1") + model.bv("x2_1"),
-                  model.bv("x7_2") + model.bv("x2_2"));
+        EXPECT_NE(s.bv(model, "x7_1") + s.bv(model, "x2_1"),
+                  s.bv(model, "x7_2") + s.bv(model, "x2_2"));
     }
     EXPECT_TRUE(checked);
 }

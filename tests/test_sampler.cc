@@ -31,7 +31,7 @@ TEST(Sampler, SimpleEquality)
     auto model = s.sample();
     ASSERT_TRUE(model.has_value());
     EXPECT_TRUE(expr::evalBool(f, *model));
-    EXPECT_EQ(model->bv("x") + 5, model->bv("y"));
+    EXPECT_EQ(model->bv(ctx.bvVar("x")) + 5, model->bv(ctx.bvVar("y")));
 }
 
 TEST(Sampler, DisequalityAndRange)
@@ -112,7 +112,7 @@ TEST(Sampler, ModelsAreDiverse)
         RepairSampler s(ctx, f, rng);
         auto model = s.sample();
         ASSERT_TRUE(model.has_value());
-        values.insert(model->bv("x"));
+        values.insert(model->bv(ctx.bvVar("x")));
     }
     EXPECT_GE(values.size(), 5u);
 }
@@ -143,8 +143,8 @@ TEST(Sampler, SentinelObservationEquality)
     ASSERT_TRUE(model.has_value());
     EXPECT_TRUE(expr::evalBool(f, *model));
     // Both must be outside AR (inside AR + equal obs forces equality).
-    EXPECT_FALSE(ar.contains(model->bv("x0_1")));
-    EXPECT_FALSE(ar.contains(model->bv("x0_2")));
+    EXPECT_FALSE(ar.contains(model->bv(ctx.bvVar("x0_1"))));
+    EXPECT_FALSE(ar.contains(model->bv(ctx.bvVar("x0_2"))));
 }
 
 } // namespace

@@ -35,8 +35,8 @@ TEST(Smt, ModelSatisfiesFormula)
     ASSERT_EQ(s.solve(), Outcome::Sat);
     auto model = s.model();
     EXPECT_TRUE(expr::evalBool(f, model));
-    EXPECT_EQ(model.bv("x") + model.bv("y"), 100u);
-    EXPECT_LT(model.bv("x"), 20u);
+    EXPECT_EQ(model.bv(ctx.bvVar("x")) + model.bv(ctx.bvVar("y")), 100u);
+    EXPECT_LT(model.bv(ctx.bvVar("x")), 20u);
 }
 
 TEST(Smt, MemoryReadProducesInitialMemory)
@@ -49,8 +49,8 @@ TEST(Smt, MemoryReadProducesInitialMemory)
     SmtSolver s(ctx, f);
     ASSERT_EQ(s.solve(), Outcome::Sat);
     auto model = s.model();
-    ASSERT_TRUE(model.mems.count("mem_1"));
-    EXPECT_EQ(model.mems["mem_1"].load(0x1000), 0xABu);
+    ASSERT_TRUE(model.mem(mem));
+    EXPECT_EQ(model.memOf(ctx.memVar("mem_1")).load(0x1000), 0xABu);
     EXPECT_TRUE(expr::evalBool(f, model));
 }
 
@@ -76,7 +76,7 @@ TEST(Smt, DistinctAddressesMayDiffer)
     SmtSolver s(ctx, f);
     ASSERT_EQ(s.solve(), Outcome::Sat);
     auto model = s.model();
-    EXPECT_NE(model.bv("a"), model.bv("b"));
+    EXPECT_NE(model.bv(ctx.bvVar("a")), model.bv(ctx.bvVar("b")));
     EXPECT_TRUE(expr::evalBool(f, model));
 }
 
@@ -96,7 +96,7 @@ TEST(Smt, ReadOverStoreChainLowered)
     SmtSolver s(ctx, g);
     ASSERT_EQ(s.solve(), Outcome::Sat);
     auto model = s.model();
-    EXPECT_NE(model.bv("a"), model.bv("b"));
+    EXPECT_NE(model.bv(ctx.bvVar("a")), model.bv(ctx.bvVar("b")));
 }
 
 TEST(Smt, NestedReadAddressing)
@@ -114,10 +114,10 @@ TEST(Smt, NestedReadAddressing)
     ASSERT_EQ(s.solve(), Outcome::Sat);
     auto model = s.model();
     EXPECT_TRUE(expr::evalBool(f, model));
-    const std::uint64_t ptr = model.mems["mem_1"].load(0x500);
+    const std::uint64_t ptr = model.memOf(ctx.memVar("mem_1")).load(0x500);
     EXPECT_GE(ptr, 0x1000u);
     EXPECT_LT(ptr, 0x2000u);
-    EXPECT_EQ(model.mems["mem_1"].load(ptr), 5u);
+    EXPECT_EQ(model.memOf(ctx.memVar("mem_1")).load(ptr), 5u);
 }
 
 TEST(Smt, RequireConjoinsConstraints)
@@ -129,8 +129,8 @@ TEST(Smt, RequireConjoinsConstraints)
     s.require(ctx.ult(ctx.bv(3), x));
     ASSERT_EQ(s.solve(), Outcome::Sat);
     auto model = s.model();
-    EXPECT_GT(model.bv("x"), 3u);
-    EXPECT_LT(model.bv("x"), 10u);
+    EXPECT_GT(model.bv(ctx.bvVar("x")), 3u);
+    EXPECT_LT(model.bv(ctx.bvVar("x")), 10u);
     s.require(ctx.ult(x, ctx.bv(2)));
     EXPECT_EQ(s.solve(), Outcome::Unsat);
 }
@@ -144,7 +144,7 @@ TEST(Smt, SolveWithIsTemporary)
     // The temporary constraint must not stick.
     EXPECT_EQ(s.solve(), Outcome::Sat);
     EXPECT_EQ(s.solveWith(ctx.eq(x, ctx.bv(42))), Outcome::Sat);
-    EXPECT_EQ(s.model().bv("x"), 42u);
+    EXPECT_EQ(s.model().bv(ctx.bvVar("x")), 42u);
 }
 
 TEST(Smt, BlockCurrentModelEnumeratesDistinctModels)
@@ -155,7 +155,7 @@ TEST(Smt, BlockCurrentModelEnumeratesDistinctModels)
     std::set<std::uint64_t> seen;
     for (int i = 0; i < 4; ++i) {
         ASSERT_EQ(s.solve(), Outcome::Sat) << i;
-        seen.insert(s.model().bv("x"));
+        seen.insert(s.model().bv(ctx.bvVar("x")));
         ASSERT_TRUE(s.blockCurrentModel({x}) || i == 3);
     }
     EXPECT_EQ(seen.size(), 4u);
@@ -170,7 +170,7 @@ TEST(Smt, CanonicalModelsAreMinimal)
     Expr x = ctx.bvVar("x");
     SmtSolver s(ctx, ctx.ule(ctx.bv(0), x));
     ASSERT_EQ(s.solve(), Outcome::Sat);
-    EXPECT_EQ(s.model().bv("x"), 0u);
+    EXPECT_EQ(s.model().bv(ctx.bvVar("x")), 0u);
 }
 
 TEST(Smt, RandomPhasesDiversifyModels)
@@ -181,10 +181,10 @@ TEST(Smt, RandomPhasesDiversifyModels)
     SmtSolver s(ctx, ctx.ult(ctx.bv(100), x));
     s.randomizePhases(rng);
     ASSERT_EQ(s.solve(), Outcome::Sat);
-    const std::uint64_t v1 = s.model().bv("x");
+    const std::uint64_t v1 = s.model().bv(ctx.bvVar("x"));
     s.randomizePhases(rng);
     ASSERT_EQ(s.solve(), Outcome::Sat);
-    const std::uint64_t v2 = s.model().bv("x");
+    const std::uint64_t v2 = s.model().bv(ctx.bvVar("x"));
     EXPECT_NE(v1, v2); // astronomically unlikely to collide
 }
 
@@ -206,9 +206,9 @@ TEST(Smt, RelationShapedFormula)
     ASSERT_EQ(s.solve(), Outcome::Sat);
     auto model = s.model();
     EXPECT_TRUE(expr::evalBool(f, model));
-    EXPECT_EQ(model.bv("x0_1"), model.bv("x0_2"));
-    EXPECT_NE(model.mems["mem_1"].load(model.bv("x0_1")),
-              model.mems["mem_2"].load(model.bv("x0_2")));
+    EXPECT_EQ(model.bv(ctx.bvVar("x0_1")), model.bv(ctx.bvVar("x0_2")));
+    EXPECT_NE(model.mem(m1)->load(model.bv(x0_1)),
+              model.mem(m2)->load(model.bv(x0_2)));
 }
 
 TEST(Smt, UnknownOnTinyBudget)
@@ -325,7 +325,7 @@ TEST(Smt, ConstantReadsJoinedByLoweringShareOneValue)
     ASSERT_EQ(s.solve(), Outcome::Sat);
     const expr::Assignment model = s.model();
     EXPECT_TRUE(expr::evalBool(g, model));
-    EXPECT_EQ(model.bv("y"), 8u);
+    EXPECT_EQ(model.bv(ctx.bvVar("y")), 8u);
 }
 
 /**
@@ -364,9 +364,9 @@ class EagerAckermann
         expr::Assignment a;
         for (Expr v : vars) {
             if (v->kind == Kind::BvVar)
-                a.bvVars[v->name] = blaster.bvModel(v);
+                a.setBv(v, blaster.bvModel(v));
             else
-                a.boolVars[v->name] = blaster.boolModel(v);
+                a.setBool(v, blaster.boolModel(v));
         }
         // Addresses are evaluated over their leaves: one that only its
         // read mentions is never bit-blasted.
@@ -374,11 +374,11 @@ class EagerAckermann
             expr::Assignment leaves;
             for (Expr v : expr::collectVars(r.addr)) {
                 if (v->kind == Kind::BvVar)
-                    leaves.bvVars[v->name] = blaster.bvModel(v);
+                    leaves.setBv(v, blaster.bvModel(v));
                 else
-                    leaves.boolVars[v->name] = blaster.boolModel(v);
+                    leaves.setBool(v, blaster.boolModel(v));
             }
-            a.mems[r.mem->name].storeWord(expr::evalBv(r.addr, leaves),
+            a.memOf(r.mem).storeWord(expr::evalBv(r.addr, leaves),
                                           blaster.bvModel(r.fresh));
         }
         return a;
@@ -519,25 +519,24 @@ randomMemFormula(ExprContext &ctx, Rng &rng)
     return ctx.conj(atoms);
 }
 
-/** Every value of `a`; memories in their map's iteration order. */
+/** Every value of `a` by variable slot; memories in their map's
+ *  iteration order. */
 std::string
 layout(const expr::Assignment &a)
 {
     std::ostringstream out;
-    for (const auto &[n, v] : std::map<std::string, std::uint64_t>(
-             a.bvVars.begin(), a.bvVars.end()))
-        out << n << '=' << v << ' ';
-    for (const auto &[n, v] : std::map<std::string, bool>(
-             a.boolVars.begin(), a.boolVars.end()))
-        out << n << '=' << v << ' ';
-    for (const auto &[n, mem] :
-         std::map<std::string, expr::ConcreteMemory>(a.mems.begin(),
-                                                     a.mems.end())) {
-        out << n << ':';
+    a.bvVars.forEach([&](std::uint32_t slot, std::uint64_t v) {
+        out << 'v' << slot << '=' << v << ' ';
+    });
+    a.boolVars.forEach([&](std::uint32_t slot, bool v) {
+        out << 'b' << slot << '=' << v << ' ';
+    });
+    a.mems.forEach([&](std::uint32_t slot, const expr::ConcreteMemory &mem) {
+        out << 'm' << slot << ':';
         for (const auto &[addr, word] : mem.entries())
             out << ' ' << addr << '=' << word;
         out << ';';
-    }
+    });
     return out.str();
 }
 

@@ -88,15 +88,15 @@ randomBool(ExprContext &ctx, Rng &rng, int depth)
 
 /** Random concrete assignment over the pool. */
 expr::Assignment
-randomAssignment(Rng &rng)
+randomAssignment(ExprContext &ctx, Rng &rng)
 {
     expr::Assignment a;
     for (int i = 0; i < 4; ++i)
-        a.bvVars["v" + std::to_string(i)] =
-            rng.chance(0.5) ? rng.below(512) : rng.next();
+        a.setBv(ctx.bvVar("v" + std::to_string(i)),
+                rng.chance(0.5) ? rng.below(512) : rng.next());
     // A handful of memory words; the evaluator defaults the rest to 0.
     for (int i = 0; i < 6; ++i)
-        a.mems["m"].storeWord(rng.below(512), rng.below(64));
+        a.memOf(ctx.memVar("m")).storeWord(rng.below(512), rng.below(64));
     return a;
 }
 
@@ -113,7 +113,7 @@ TEST_P(SolverFuzz, EvaluatorWitnessImpliesSat)
         // Find a witness by random search; if none found, skip.
         bool witnessed = false;
         for (int j = 0; j < 30 && !witnessed; ++j)
-            witnessed = expr::evalBool(f, randomAssignment(rng));
+            witnessed = expr::evalBool(f, randomAssignment(ctx, rng));
         if (!witnessed)
             continue;
         EXPECT_NE(checkSat(ctx, f), Outcome::Unsat)
@@ -174,17 +174,19 @@ TEST_P(SolverFuzz, SamplerAndCdclAgreeWithEvaluatorOnBvTerms)
     ExprContext ctx;
     for (int i = 0; i < fuzzIters(10); ++i) {
         Expr t = randomBv(ctx, rng, 3);
-        expr::Assignment a = randomAssignment(rng);
+        expr::Assignment a = randomAssignment(ctx, rng);
         const std::uint64_t want = expr::evalBv(t, a);
         Expr f = ctx.eq(t, ctx.bv(want));
-        for (const auto &[name, value] : a.bvVars)
-            f = ctx.land(f, ctx.eq(ctx.bvVar(name), ctx.bv(value)));
+        for (int v = 0; v < 4; ++v) {
+            const Expr var = ctx.bvVar("v" + std::to_string(v));
+            f = ctx.land(f, ctx.eq(var, ctx.bv(a.bv(var))));
+        }
         // Pin the memory cells the term reads (evaluator defaults the
         // rest to zero, so pin those reads too).
         std::function<void(Expr)> pin = [&](Expr e) {
             for (Expr r : expr::collectReads(e)) {
                 const std::uint64_t addr = expr::evalBv(r->kids[1], a);
-                const std::uint64_t val = a.mems["m"].load(addr);
+                const std::uint64_t val = a.memOf(ctx.memVar("m")).load(addr);
                 f = ctx.land(f, ctx.eq(ctx.read(ctx.memVar("m"),
                                                 ctx.bv(addr)),
                                        ctx.bv(val)));

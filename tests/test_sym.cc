@@ -67,8 +67,8 @@ TEST_F(SymTest, PathConditionsArePreciseAndDisjoint)
 {
     auto paths = run("b.lt x0, x1, end\nldr x2, [x0]\nend: ret\n");
     expr::Assignment a;
-    a.bvVars["x0_1"] = 5;
-    a.bvVars["x1_1"] = 10; // x0 < x1 signed: taken
+    a.setBv(ctx.bvVar("x0_1"), 5);
+    a.setBv(ctx.bvVar("x1_1"), 10); // x0 < x1 signed: taken
     int holds = 0;
     for (const auto &p : paths)
         holds += expr::evalBool(p.cond, a);
