@@ -1,6 +1,7 @@
 #include "sat/solver.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "support/faults.hh"
@@ -47,6 +48,7 @@ Solver::newVar()
     reasons.push_back(kRefUndef);
     activity.push_back(0.0);
     heapIndex.push_back(-1);
+    seen.push_back(0);
     watches.emplace_back();
     watches.emplace_back();
     heapInsert(v);
@@ -64,49 +66,67 @@ Solver::value(Lit l) const
 }
 
 bool
-Solver::addClause(std::vector<Lit> lits)
+Solver::addClause(std::span<const Lit> clause)
 {
     if (!okay)
         return false;
     SCAMV_ASSERT(decisionLevel() == 0, "addClause above level 0");
 
-    // Sort/dedup; drop satisfied clauses and false literals.
-    std::sort(lits.begin(), lits.end(),
+    // Sort/dedup in the intake buffer; drop satisfied clauses and
+    // false literals.  Filtering is in place: `n` never passes the
+    // literal being read.
+    intake.assign(clause.begin(), clause.end());
+    std::sort(intake.begin(), intake.end(),
               [](Lit a, Lit b) { return a.x < b.x; });
-    std::vector<Lit> out;
+    std::size_t n = 0;
     Lit prev = kLitUndef;
-    for (Lit l : lits) {
+    for (const Lit l : intake) {
         SCAMV_ASSERT(var(l) >= 0 && var(l) < numVars(),
                      "literal for unallocated variable");
         if (value(l) == LBool::True || l == ~prev)
             return true; // clause satisfied or tautological
         if (value(l) != LBool::False && l != prev)
-            out.push_back(l);
+            intake[n++] = l;
         prev = l;
     }
 
-    if (out.empty()) {
+    if (n == 0) {
         okay = false;
         return false;
     }
-    if (out.size() == 1) {
-        uncheckedEnqueue(out[0], kRefUndef);
+    if (n == 1) {
+        uncheckedEnqueue(intake[0], kRefUndef);
         okay = (propagate() == kRefUndef);
         return okay;
     }
 
-    clauses.push_back({std::move(out), false, 0.0});
-    attachClause(static_cast<ClauseRef>(clauses.size()) - 1);
+    attachClause(pushClause({intake.data(), n}, false));
     return true;
+}
+
+Solver::ClauseRef
+Solver::pushClause(std::span<const Lit> body, bool learnt)
+{
+    clauses.push_back({static_cast<std::uint32_t>(arena.size()),
+                       static_cast<std::uint32_t>(body.size()), learnt,
+                       0.0});
+    // Power-of-two capacities, as push_back's doubling gives: a range
+    // insert would grow to twice whatever size the arena had reached,
+    // and freed arenas of ever-different sizes fragment the heap.
+    if (arena.size() + body.size() > arena.capacity())
+        arena.reserve(std::bit_ceil(arena.size() + body.size()));
+    arena.insert(arena.end(), body.begin(), body.end());
+    return static_cast<ClauseRef>(clauses.size()) - 1;
 }
 
 void
 Solver::attachClause(ClauseRef cref)
 {
     const Clause &c = clauses[cref];
-    SCAMV_ASSERT(c.lits.size() >= 2, "attach of short clause");
-    watches[(~c.lits[0]).x].push_back({cref, c.lits[1]});
-    watches[(~c.lits[1]).x].push_back({cref, c.lits[0]});
+    SCAMV_ASSERT(c.size >= 2, "attach of short clause");
+    const Lit *cl = litsOf(c);
+    watches[(~cl[0]).x].push_back({cref, cl[1]});
+    watches[(~cl[1]).x].push_back({cref, cl[0]});
 }
 
 void
@@ -124,34 +144,40 @@ Solver::propagate()
 {
     while (qhead < trail.size()) {
         const Lit p = trail[qhead++];
+        const Lit false_lit = ~p;
         ++nPropagations;
+        // Raw pointers into p's watch list: the pushes below go to the
+        // lists of non-false literals, never to this one, so they
+        // cannot move it.
         std::vector<Watcher> &ws = watches[p.x];
-        std::size_t i = 0, j = 0;
-        while (i < ws.size()) {
-            Watcher w = ws[i];
+        Watcher *i = ws.data();
+        Watcher *j = i;
+        Watcher *const end = i + ws.size();
+        while (i != end) {
+            const Watcher w = *i;
             if (value(w.blocker) == LBool::True) {
-                ws[j++] = ws[i++];
+                *j++ = *i++;
                 continue;
             }
-            Clause &c = clauses[w.cref];
-            // Normalize so that the false watched literal is lits[1].
-            const Lit false_lit = ~p;
-            if (c.lits[0] == false_lit)
-                std::swap(c.lits[0], c.lits[1]);
+            const Clause &c = clauses[w.cref];
+            Lit *cl = litsOf(c);
+            // Normalize so that the false watched literal is cl[1].
+            if (cl[0] == false_lit)
+                std::swap(cl[0], cl[1]);
             ++i;
 
-            const Lit first = c.lits[0];
+            const Lit first = cl[0];
             if (first != w.blocker && value(first) == LBool::True) {
-                ws[j++] = {w.cref, first};
+                *j++ = {w.cref, first};
                 continue;
             }
 
             // Look for a new literal to watch.
             bool found = false;
-            for (std::size_t k = 2; k < c.lits.size(); ++k) {
-                if (value(c.lits[k]) != LBool::False) {
-                    std::swap(c.lits[1], c.lits[k]);
-                    watches[(~c.lits[1]).x].push_back({w.cref, first});
+            for (std::uint32_t k = 2; k < c.size; ++k) {
+                if (value(cl[k]) != LBool::False) {
+                    std::swap(cl[1], cl[k]);
+                    watches[(~cl[1]).x].push_back({w.cref, first});
                     found = true;
                     break;
                 }
@@ -160,18 +186,18 @@ Solver::propagate()
                 continue;
 
             // Unit or conflicting.
-            ws[j++] = {w.cref, first};
+            *j++ = {w.cref, first};
             if (value(first) == LBool::False) {
                 // Conflict: copy remaining watchers and bail out.
-                while (i < ws.size())
-                    ws[j++] = ws[i++];
-                ws.resize(j);
+                while (i != end)
+                    *j++ = *i++;
+                ws.resize(static_cast<std::size_t>(j - ws.data()));
                 qhead = trail.size();
                 return w.cref;
             }
             uncheckedEnqueue(first, w.cref);
         }
-        ws.resize(j);
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
     }
     return kRefUndef;
 }
@@ -214,7 +240,8 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
     out_learnt.clear();
     out_learnt.push_back(kLitUndef); // reserve slot for asserting literal
 
-    std::vector<bool> seen(numVars(), false);
+    // `seen` is all clear on entry; on exit exactly out_learnt[1..]'s
+    // variables are still marked, and are cleared below.
     int path_count = 0;
     Lit p = kLitUndef;
     std::size_t index = trail.size();
@@ -224,12 +251,13 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
         Clause &c = clauses[confl];
         if (c.learnt)
             claBumpActivity(c);
-        const std::size_t start = (p == kLitUndef) ? 0 : 1;
-        for (std::size_t k = start; k < c.lits.size(); ++k) {
-            const Lit q = c.lits[k];
+        const Lit *cl = litsOf(c);
+        const std::uint32_t start = (p == kLitUndef) ? 0 : 1;
+        for (std::uint32_t k = start; k < c.size; ++k) {
+            const Lit q = cl[k];
             if (!seen[var(q)] && levels[var(q)] > 0) {
                 varBumpActivity(var(q));
-                seen[var(q)] = true;
+                seen[var(q)] = 1;
                 if (levels[var(q)] >= decisionLevel())
                     ++path_count;
                 else
@@ -241,10 +269,12 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
             --index;
         p = trail[index - 1];
         confl = reasons[var(p)];
-        seen[var(p)] = false;
+        seen[var(p)] = 0;
         --path_count;
     } while (path_count > 0);
     out_learnt[0] = ~p;
+    for (std::size_t k = 1; k < out_learnt.size(); ++k)
+        seen[var(out_learnt[k])] = 0;
 
     // Compute backtrack level (second-highest level in the clause).
     if (out_learnt.size() == 1) {
@@ -312,17 +342,26 @@ Solver::reduceDB()
                      acts.end());
     const double median = acts[acts.size() / 2];
 
-    std::vector<Clause> kept;
+    // Compact headers and arena in clause order; a kept clause only
+    // moves towards the front, so copying forward is safe.
     std::vector<ClauseRef> remap(clauses.size(), kRefUndef);
+    std::size_t kept = 0;
+    std::uint32_t top = 0;
     for (std::size_t i = 0; i < clauses.size(); ++i) {
-        const bool drop = clauses[i].learnt && !is_reason[i] &&
-                          clauses[i].activity < median;
-        if (!drop) {
-            remap[i] = static_cast<ClauseRef>(kept.size());
-            kept.push_back(std::move(clauses[i]));
+        Clause c = clauses[i];
+        if (c.learnt && !is_reason[i] && c.activity < median)
+            continue;
+        remap[i] = static_cast<ClauseRef>(kept);
+        if (c.start != top) {
+            std::copy(arena.begin() + c.start,
+                      arena.begin() + c.start + c.size, arena.begin() + top);
+            c.start = top;
         }
+        top += c.size;
+        clauses[kept++] = c;
     }
-    clauses = std::move(kept);
+    clauses.resize(kept);
+    arena.resize(top);
     nLearnt = 0;
     for (const auto &c : clauses)
         nLearnt += c.learnt;
@@ -355,20 +394,17 @@ Solver::search(std::int64_t conflict_budget,
                 okay = false;
                 return Result::Unsat;
             }
-            std::vector<Lit> learnt;
             int bt_level = 0;
-            analyze(confl, learnt, bt_level);
+            analyze(confl, learntLits, bt_level);
             cancelUntil(bt_level);
-            if (learnt.size() == 1) {
-                uncheckedEnqueue(learnt[0], kRefUndef);
+            if (learntLits.size() == 1) {
+                uncheckedEnqueue(learntLits[0], kRefUndef);
             } else {
-                clauses.push_back({std::move(learnt), true, 0.0});
+                const ClauseRef cref = pushClause(learntLits, true);
                 ++nLearnt;
-                const ClauseRef cref =
-                    static_cast<ClauseRef>(clauses.size()) - 1;
                 attachClause(cref);
                 claBumpActivity(clauses[cref]);
-                uncheckedEnqueue(clauses[cref].lits[0], cref);
+                uncheckedEnqueue(learntLits[0], cref);
             }
             varDecayActivity();
             claInc /= kClauseDecay;

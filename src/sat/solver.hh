@@ -13,12 +13,35 @@
  * equal across the two states) exactly like the unguided Z3 baseline
  * the paper argues against — the behaviour refinement is designed to
  * overcome.  Randomized polarities are available for diversification.
+ *
+ * Clause storage.  Every clause's literals live in one arena (`arena`);
+ * a `Clause` is a header `{start, size, learnt, activity}` into it.  A
+ * `ClauseRef` is the clause's creation index into `clauses`, so
+ * `reasons` and the watchers name clauses, not arena offsets, and
+ * `reduceDB` remaps them when it compacts both vectors in clause order.
+ * Clause intake (`addClause`) and conflict analysis work in member
+ * scratch buffers, so taking in a clause or learning one allocates
+ * only when a vector outgrows its capacity.
+ *
+ * Models are a function of the exact literal order inside each clause,
+ * of the trail and of the watch order, so the storage keeps all three.
+ * With `lits` a clause's literals in the arena:
+ * (a) `propagate` swaps `lits[0]`/`lits[1]` and `lits[1]`/`lits[k]` in
+ *     place, `analyze` reads `lits[0]` as the implied literal and bumps
+ *     activities in literal order, and `reduceDB` re-attaches the kept
+ *     clauses in clause order;
+ * (b) `addClause` sorts by `Lit::x`, drops duplicate and false
+ *     literals, ignores satisfied and tautological clauses and
+ *     propagates a unit at level 0 at once;
+ * (c) the VSIDS heap and its tie order (`>=` up, `<=` down) are fixed.
+ * Changing any of these changes which model comes back.
  */
 
 #ifndef SCAMV_SAT_SOLVER_HH
 #define SCAMV_SAT_SOLVER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/rng.hh"
@@ -67,15 +90,31 @@ class Solver
     int numVars() const { return static_cast<int>(assigns.size()); }
 
     /**
-     * Add a clause (empty clause makes the instance unsat).
+     * Add a clause (empty clause makes the instance unsat).  The
+     * literals are copied; `clause` may be any caller buffer.
      * @return false iff the instance became trivially unsat.
      */
-    bool addClause(std::vector<Lit> lits);
+    bool addClause(std::span<const Lit> clause);
 
     /** Convenience single/binary/ternary clause adders. */
-    bool addUnit(Lit a) { return addClause({a}); }
-    bool addBinary(Lit a, Lit b) { return addClause({a, b}); }
-    bool addTernary(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
+    bool
+    addUnit(Lit a)
+    {
+        const Lit c[] = {a};
+        return addClause(c);
+    }
+    bool
+    addBinary(Lit a, Lit b)
+    {
+        const Lit c[] = {a, b};
+        return addClause(c);
+    }
+    bool
+    addTernary(Lit a, Lit b, Lit c)
+    {
+        const Lit cl[] = {a, b, c};
+        return addClause(cl);
+    }
 
     /**
      * Solve the current formula.
@@ -105,11 +144,14 @@ class Solver
     std::uint64_t propagations() const { return nPropagations; }
 
   private:
+    /** Header of a clause: its literals are `arena[start, start+size)`. */
     struct Clause {
-        std::vector<Lit> lits;
-        bool learnt = false;
-        double activity = 0.0;
+        std::uint32_t start;
+        std::uint32_t size;
+        bool learnt;
+        double activity;
     };
+    /** Creation index into `clauses` (renumbered only by reduceDB). */
     using ClauseRef = std::int32_t;
     static constexpr ClauseRef kRefUndef = -1;
 
@@ -120,6 +162,7 @@ class Solver
 
     // ---- Core state --------------------------------------------------
     std::vector<Clause> clauses;
+    std::vector<Lit> arena; // the literals of all clauses
     std::vector<std::vector<Watcher>> watches; // indexed by Lit::x
     std::vector<LBool> assigns;
     std::vector<bool> savedPhase;
@@ -143,6 +186,11 @@ class Solver
     std::uint64_t nDecisions = 0;
     std::uint64_t nPropagations = 0;
 
+    // ---- Scratch buffers (capacity reused across calls) ----------------
+    std::vector<Lit> intake;     // addClause: sorted, filtered copy
+    std::vector<Lit> learntLits; // search: the clause analyze learns
+    std::vector<char> seen;      // analyze: var marks, clear between calls
+
     // ---- Helpers --------------------------------------------------------
     LBool value(Lit l) const;
     int decisionLevel() const { return static_cast<int>(trailLim.size()); }
@@ -152,6 +200,8 @@ class Solver
                  int &out_btlevel);
     void cancelUntil(int level);
     Lit pickBranchLit();
+    Lit *litsOf(const Clause &c) { return arena.data() + c.start; }
+    ClauseRef pushClause(std::span<const Lit> body, bool learnt);
     void attachClause(ClauseRef cref);
     void varBumpActivity(Var v);
     void varDecayActivity();

@@ -265,6 +265,8 @@ SmtSolver::blockCurrentModel(const std::vector<Expr> &vars, int bits)
     SCAMV_ASSERT(bits > 0 && bits <= bv::kWidth,
                  "blockCurrentModel: bad bit count");
     std::vector<sat::Lit> clause;
+    clause.reserve((vars.size() + reads.size()) *
+                   static_cast<std::size_t>(bits));
     auto block_bits = [&](Expr v) {
         const auto &lits = blaster.bvBits(v);
         for (int i = 0; i < bits; ++i) {
@@ -281,7 +283,7 @@ SmtSolver::blockCurrentModel(const std::vector<Expr> &vars, int bits)
     }
     for (const ReadInfo &r : reads)
         block_bits(r.fresh);
-    return sat.addClause(std::move(clause));
+    return sat.addClause(clause);
 }
 
 void

@@ -282,8 +282,10 @@ Registry &current();
  * per increment: slot i names counter `names[i]`, created in the
  * registry on its first use (exactly when a by-name lookup would
  * create it) and cached until `current()` has a different epoch —
- * another registry, or the same one after reset().  Not thread-safe:
- * one owner (a core, a platform) uses it from one thread at a time.
+ * another registry, or the same one after reset().  `in(reg, i)` does
+ * the same against a fixed registry (the query cache's global
+ * counters).  Not thread-safe: one owner (a core, a platform, a
+ * mutex) serializes its uses.
  */
 template <std::size_t N>
 class CounterHandles
@@ -295,10 +297,12 @@ class CounterHandles
     {}
 
     /** @return counter `i` of the calling thread's `current()`. */
+    Counter &operator[](std::size_t i) { return in(current(), i); }
+
+    /** @return counter `i` of `reg`. */
     Counter &
-    operator[](std::size_t i)
+    in(Registry &reg, std::size_t i)
     {
-        Registry &reg = current();
         if (reg.epoch() != epoch) {
             slots.fill(nullptr);
             epoch = reg.epoch();

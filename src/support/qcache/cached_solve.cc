@@ -43,6 +43,22 @@ injectedUnknown()
 }
 
 /**
+ * `qcache.hit_seconds` of `g`, resolved once per epoch of `g` on each
+ * thread and created on the first hit (as a by-name lookup would).
+ */
+metrics::Histogram &
+hitSeconds(metrics::Registry &g)
+{
+    thread_local std::uint64_t epoch = 0; // epochs start at 1
+    thread_local metrics::Histogram *h = nullptr;
+    if (g.epoch() != epoch) {
+        h = &g.histogram("qcache.hit_seconds");
+        epoch = g.epoch();
+    }
+    return *h;
+}
+
+/**
  * Replay a valid entry under `key` into `r`: merge its metric delta
  * into the querier's registry and observe its latency since `tg0` on
  * the global clock.  A Sat entry whose model fails concrete
@@ -68,7 +84,7 @@ replay(QueryCache &cache, const Key &key, const CanonForm &form,
     }
     r.outcome = hit->sat ? smt::Outcome::Sat : smt::Outcome::Unsat;
     metrics::current().merge(hit->delta);
-    g.histogram("qcache.hit_seconds").observe(g.now() - tg0);
+    hitSeconds(g).observe(g.now() - tg0);
     return hit;
 }
 

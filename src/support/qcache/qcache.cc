@@ -439,19 +439,19 @@ QueryCache::lookup(const Key &key, std::uint64_t fingerprint)
     std::lock_guard<std::mutex> lock(m);
     auto it = index.find(key);
     if (it == index.end()) {
-        g.counter("qcache.miss").inc();
+        counters.in(g, kMiss).inc();
         return nullptr;
     }
     if (it->second->entry->fingerprint != fingerprint) {
         // Semantic cousin: same canonical class, different operand
         // order.  Treat as a miss so the hit path stays an exact
         // replay (see file comment in qcache.hh).
-        g.counter("qcache.fp_conflict").inc();
-        g.counter("qcache.miss").inc();
+        counters.in(g, kFpConflict).inc();
+        counters.in(g, kMiss).inc();
         return nullptr;
     }
     lru.splice(lru.begin(), lru, it->second);
-    g.counter("qcache.hit").inc();
+    counters.in(g, kHit).inc();
     return it->second->entry;
 }
 
@@ -467,7 +467,7 @@ QueryCache::store(const Key &key, Entry entry)
     lru.push_front(std::move(slot));
     index.emplace(key, lru.begin());
     bytes_ += lru.front().bytes;
-    g.counter("qcache.store").inc();
+    counters.in(g, kStore).inc();
     if (append_.is_open())
         appendRecord(key, *lru.front().entry);
     evictToFit();

@@ -171,6 +171,14 @@ class QueryCache
     std::size_t bytes_ = 0;
     std::uint64_t dropped_ = 0;
     std::ofstream append_;
+    /** Slots of `counters`. */
+    enum CacheCounter : std::size_t {
+        kHit, kMiss, kFpConflict, kStore, kNumCacheCounters
+    };
+    /** The per-query qcache.* counters of the global registry, resolved
+     *  once per epoch and used only under `m`. */
+    metrics::CounterHandles<kNumCacheCounters> counters{{
+        "qcache.hit", "qcache.miss", "qcache.fp_conflict", "qcache.store"}};
 };
 
 } // namespace scamv::qcache

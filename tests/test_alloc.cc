@@ -22,8 +22,10 @@
 #include "harness/platform.hh"
 #include "obs/models.hh"
 #include "rel/relation.hh"
+#include "sat/solver.hh"
 #include "smt/solver.hh"
 #include "support/metrics.hh"
+#include "support/rng.hh"
 #include "sym/symexec.hh"
 
 namespace {
@@ -205,6 +207,72 @@ TEST(Alloc, RelationEvaluationIsAllocationFree)
               }),
               0u);
     EXPECT_TRUE(all);
+}
+
+TEST(Alloc, SatClauseIntakeAllocatesOnlyAmortizedGrowth)
+{
+    sat::Solver s;
+    constexpr int kVars = 200;
+    for (int v = 0; v < kVars; ++v)
+        s.newVar();
+    // Drawn up front: three distinct variables per clause, so no
+    // clause is tautological or shortened.
+    Rng rng(11);
+    std::vector<std::array<sat::Lit, 3>> cs(10000);
+    for (auto &c : cs) {
+        sat::Var v[3];
+        v[0] = static_cast<sat::Var>(rng.below(kVars));
+        do
+            v[1] = static_cast<sat::Var>(rng.below(kVars));
+        while (v[1] == v[0]);
+        do
+            v[2] = static_cast<sat::Var>(rng.below(kVars));
+        while (v[2] == v[0] || v[2] == v[1]);
+        for (int k = 0; k < 3; ++k)
+            c[k] = sat::mkLit(v[k], rng.chance(0.5));
+    }
+    const std::uint64_t n = allocationsOf([&] {
+        for (const auto &c : cs)
+            s.addTernary(c[0], c[1], c[2]);
+    });
+    // 2,761 with libstdc++'s doubling growth: the 400 watch lists
+    // (about 50 watchers each), the literal arena and the clause
+    // headers.  Copying each clause into its own vectors made 42,746,
+    // about four per clause.
+    EXPECT_LE(n, 2900u);
+}
+
+TEST(Alloc, SatConflictsAllocateNothingPerConflict)
+{
+    // PHP(8, 7): unsat, and every budget below runs out on conflicts.
+    sat::Solver s;
+    constexpr int kPigeons = 8, kHoles = 7;
+    for (int v = 0; v < kPigeons * kHoles; ++v)
+        s.newVar();
+    auto x = [](int p, int h) { return sat::mkLit(p * kHoles + h); };
+    std::vector<sat::Lit> c;
+    for (int p = 0; p < kPigeons; ++p) {
+        c.clear();
+        for (int h = 0; h < kHoles; ++h)
+            c.push_back(x(p, h));
+        s.addClause(c);
+    }
+    for (int h = 0; h < kHoles; ++h)
+        for (int p1 = 0; p1 < kPigeons; ++p1)
+            for (int p2 = p1 + 1; p2 < kPigeons; ++p2)
+                s.addBinary(~x(p1, h), ~x(p2, h));
+
+    metrics::Registry reg;
+    metrics::ScopedRegistry scope(reg);
+    ASSERT_EQ(s.solve(2000), sat::Result::Unknown); // warm-up
+    const std::uint64_t c0 = s.conflicts();
+    const std::uint64_t n = allocationsOf(
+        [&] { EXPECT_EQ(s.solve(1000), sat::Result::Unknown); });
+    ASSERT_EQ(s.conflicts() - c0, 1000u);
+    // 58 with libstdc++'s doubling growth, all of them watch-list,
+    // arena and clause-header growth as learnt clauses pile up.  A
+    // `seen` and a learnt vector per conflict made 6,798 here.
+    EXPECT_LE(n, 64u);
 }
 
 } // namespace

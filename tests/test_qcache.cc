@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -481,6 +482,49 @@ TEST(Cache, AlphaRenamedQueriesShareAnEntry)
     EXPECT_TRUE(expr::evalBool(fb, *r2.model));
     EXPECT_EQ(globalCounter("qcache.hit"), h0 + 1);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+/** @return the names of the global registry's qcache.* metrics and
+ *  their values (a histogram's value is its sample count). */
+std::map<std::string, std::uint64_t>
+globalQcacheMetrics()
+{
+    std::map<std::string, std::uint64_t> out;
+    const metrics::Snapshot snap = metrics::Registry::global().snapshot();
+    for (const auto &[name, value] : snap.counters)
+        if (name.starts_with("qcache."))
+            out[name] = value;
+    for (const auto &[name, h] : snap.histograms)
+        if (name.starts_with("qcache."))
+            out[name] = h.count;
+    return out;
+}
+
+TEST(Cache, GlobalCountersAreCreatedOnFirstUseAndFollowReset)
+{
+    using Metrics = std::map<std::string, std::uint64_t>;
+    QueryCache cache({1 << 20, ""});
+    expr::ExprContext ctx;
+    const Expr f = ctx.ult(ctx.bvVar("x"), ctx.bv(9));
+    metrics::Registry::global().reset();
+
+    ASSERT_EQ(solveOnce(ctx, f, 200000, &cache).outcome, smt::Outcome::Sat);
+    // No hit yet, so no zero-valued hit or fp_conflict metric.
+    EXPECT_EQ(globalQcacheMetrics(),
+              (Metrics{{"qcache.miss", 1}, {"qcache.store", 1}}));
+    ASSERT_EQ(solveOnce(ctx, f, 200000, &cache).outcome, smt::Outcome::Sat);
+    EXPECT_EQ(globalQcacheMetrics(),
+              (Metrics{{"qcache.hit", 1},
+                       {"qcache.hit_seconds", 1},
+                       {"qcache.miss", 1},
+                       {"qcache.store", 1}}));
+
+    // reset() frees every metric: the cache must resolve its handles
+    // again instead of counting into the freed ones.
+    metrics::Registry::global().reset();
+    ASSERT_EQ(solveOnce(ctx, f, 200000, &cache).outcome, smt::Outcome::Sat);
+    EXPECT_EQ(globalQcacheMetrics(),
+              (Metrics{{"qcache.hit", 1}, {"qcache.hit_seconds", 1}}));
 }
 
 TEST(Cache, UnsatResultsAreCached)

@@ -58,7 +58,8 @@ TEST(Sat, DuplicateLiteralsDeduplicated)
 {
     Solver s;
     Var a = s.newVar();
-    EXPECT_TRUE(s.addClause({mkLit(a), mkLit(a), mkLit(a)}));
+    const Lit clause[] = {mkLit(a), mkLit(a), mkLit(a)};
+    EXPECT_TRUE(s.addClause(clause));
     ASSERT_EQ(s.solve(), Result::Sat);
     EXPECT_TRUE(s.modelValue(a));
 }
