@@ -219,6 +219,14 @@ BitBlaster::eqLit(const Bits &a, const Bits &b)
     return andReduce(eqs);
 }
 
+// Operand order.  The variables of a term are numbered in the order
+// its operands are blasted, and models depend on that numbering.  C++
+// leaves the evaluation order of call arguments unspecified; GCC
+// evaluates them right to left, so `f(bvBits(kids[0]), bvBits(kids[1]))`
+// has always blasted kids[1] first.  bvBits and boolLit bind each
+// operand to a local in that order, so that every compiler numbers the
+// CNF, and returns the models, alike.
+
 const std::vector<Lit> &
 BitBlaster::bvBits(Expr e)
 {
@@ -239,10 +247,12 @@ BitBlaster::bvBits(Expr e)
         for (int i = 0; i < kWidth; ++i)
             bits[i] = freshLit();
         break;
-      case Kind::Add:
-        bits = adder(bvBits(e->kids[0]), bvBits(e->kids[1]),
-                     litConst(false));
+      case Kind::Add: {
+        const Bits &b = bvBits(e->kids[1]);
+        const Bits &a = bvBits(e->kids[0]);
+        bits = adder(a, b, litConst(false));
         break;
+      }
       case Kind::Sub: {
         Bits nb(kWidth);
         const Bits &b = bvBits(e->kids[1]);
@@ -296,17 +306,14 @@ BitBlaster::bvBits(Expr e)
         bits = negate(bvBits(e->kids[0]));
         break;
       case Kind::Shl:
-        bits = shifter(bvBits(e->kids[0]), bvBits(e->kids[1]), true,
-                       false);
-        break;
       case Kind::Lshr:
-        bits = shifter(bvBits(e->kids[0]), bvBits(e->kids[1]), false,
-                       false);
+      case Kind::Ashr: {
+        const Bits &amount = bvBits(e->kids[1]);
+        const Bits &a = bvBits(e->kids[0]);
+        bits = shifter(a, amount, e->kind == Kind::Shl,
+                       e->kind == Kind::Ashr);
         break;
-      case Kind::Ashr:
-        bits = shifter(bvBits(e->kids[0]), bvBits(e->kids[1]), false,
-                       true);
-        break;
+      }
       case Kind::Ite: {
         const Lit s = boolLit(e->kids[0]);
         const Bits &t = bvBits(e->kids[1]);
@@ -347,32 +354,47 @@ BitBlaster::boolLit(Expr e)
       case Kind::Eq: {
         SCAMV_ASSERT(e->kids[0]->sort == expr::Sort::Bv,
                      "bitblast: memory equality unsupported");
-        l = eqLit(bvBits(e->kids[0]), bvBits(e->kids[1]));
+        const Bits &b = bvBits(e->kids[1]);
+        const Bits &a = bvBits(e->kids[0]);
+        l = eqLit(a, b);
         break;
       }
-      case Kind::Ult:
-        l = ultLit(bvBits(e->kids[0]), bvBits(e->kids[1]));
+      case Kind::Ult: {
+        const Bits &b = bvBits(e->kids[1]);
+        const Bits &a = bvBits(e->kids[0]);
+        l = ultLit(a, b);
         break;
-      case Kind::Ule:
-        l = ~ultLit(bvBits(e->kids[1]), bvBits(e->kids[0]));
+      }
+      case Kind::Ule: { // !(b < a): kids[0] was the last argument
+        const Bits &a = bvBits(e->kids[0]);
+        const Bits &b = bvBits(e->kids[1]);
+        l = ~ultLit(b, a);
         break;
-      case Kind::Slt:
-        l = sltLit(bvBits(e->kids[0]), bvBits(e->kids[1]));
+      }
+      case Kind::Slt: {
+        const Bits &b = bvBits(e->kids[1]);
+        const Bits &a = bvBits(e->kids[0]);
+        l = sltLit(a, b);
         break;
-      case Kind::Sle:
-        l = ~sltLit(bvBits(e->kids[1]), bvBits(e->kids[0]));
+      }
+      case Kind::Sle: {
+        const Bits &a = bvBits(e->kids[0]);
+        const Bits &b = bvBits(e->kids[1]);
+        l = ~sltLit(b, a);
         break;
+      }
       case Kind::And:
-        l = gateAnd(boolLit(e->kids[0]), boolLit(e->kids[1]));
-        break;
       case Kind::Or:
-        l = gateOr(boolLit(e->kids[0]), boolLit(e->kids[1]));
+      case Kind::Implies: {
+        const Lit b = boolLit(e->kids[1]);
+        const Lit a = boolLit(e->kids[0]);
+        l = e->kind == Kind::And  ? gateAnd(a, b)
+            : e->kind == Kind::Or ? gateOr(a, b)
+                                  : gateOr(~a, b);
         break;
+      }
       case Kind::Not:
         l = ~boolLit(e->kids[0]);
-        break;
-      case Kind::Implies:
-        l = gateOr(~boolLit(e->kids[0]), boolLit(e->kids[1]));
         break;
       default:
         SCAMV_PANIC(std::string("bitblast: unexpected bool kind ") +

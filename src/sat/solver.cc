@@ -33,6 +33,19 @@ lubyValue(std::int64_t x)
 constexpr double kVarDecay = 0.95;
 constexpr double kClauseDecay = 0.999;
 constexpr std::int64_t kRestartBase = 128;
+/** Capacity a watch span gets on its first push. */
+constexpr std::uint32_t kMinSpanCap = 2;
+
+/** Slots of `satCounters`. */
+enum SatCounter : std::size_t {
+    kSolveCalls, kVars, kConflicts, kDecisions, kPropagations,
+    kNumSatCounters
+};
+/** The per-solve sat.* counters of the calling thread's `current()`,
+ *  resolved once per registry epoch. */
+thread_local metrics::CounterHandles<kNumSatCounters> satCounters{{
+    "sat.solve_calls", "sat.vars", "sat.conflicts", "sat.decisions",
+    "sat.propagations"}};
 
 } // namespace
 
@@ -49,8 +62,8 @@ Solver::newVar()
     activity.push_back(0.0);
     heapIndex.push_back(-1);
     seen.push_back(0);
-    watches.emplace_back();
-    watches.emplace_back();
+    watchSpans.emplace_back();
+    watchSpans.emplace_back();
     heapInsert(v);
     return v;
 }
@@ -124,9 +137,61 @@ Solver::attachClause(ClauseRef cref)
 {
     const Clause &c = clauses[cref];
     SCAMV_ASSERT(c.size >= 2, "attach of short clause");
+    // A span's moved-from slots sum to less than its capacity, so the
+    // garbage never exceeds the live slots; compact at half of them.
+    if (2 * watchGarbage > watchArena.size() - watchGarbage)
+        compactWatches();
     const Lit *cl = litsOf(c);
-    watches[(~cl[0]).x].push_back({cref, cl[1]});
-    watches[(~cl[1]).x].push_back({cref, cl[0]});
+    watchPush(~cl[0], {cref, cl[1]});
+    watchPush(~cl[1], {cref, cl[0]});
+}
+
+/** @return whether the arena grew, and so may have moved. */
+bool
+Solver::watchPush(Lit l, Watcher w)
+{
+    WatchSpan &span = watchSpans[l.x];
+    const bool grow = span.size == span.cap;
+    if (grow)
+        growSpan(span);
+    watchArena[span.start + span.size++] = w;
+    return grow;
+}
+
+void
+Solver::growSpan(WatchSpan &span)
+{
+    const std::uint32_t cap = std::max(2 * span.cap, kMinSpanCap);
+    const bool last = span.start + span.cap == watchArena.size();
+    const std::size_t start = last ? span.start : watchArena.size();
+    // Power-of-two capacities, for the reason pushClause gives.
+    if (start + cap > watchArena.capacity())
+        watchArena.reserve(std::bit_ceil(start + cap));
+    watchArena.resize(start + cap);
+    if (!last) {
+        std::copy_n(watchArena.begin() + span.start, span.size,
+                    watchArena.begin() + start);
+        watchGarbage += span.cap;
+        span.start = static_cast<std::uint32_t>(start);
+    }
+    span.cap = cap;
+}
+
+void
+Solver::compactWatches()
+{
+    std::vector<Watcher> to;
+    to.reserve(std::bit_ceil(watchArena.size() - watchGarbage));
+    for (WatchSpan &span : watchSpans) {
+        const std::size_t start = to.size();
+        to.insert(to.end(), watchArena.begin() + span.start,
+                  watchArena.begin() + span.start + span.size);
+        to.resize(start + span.cap);
+        span.start = static_cast<std::uint32_t>(start);
+    }
+    watchArena = std::move(to);
+    watchGarbage = 0;
+    ++ev.compactions;
 }
 
 void
@@ -146,17 +211,20 @@ Solver::propagate()
         const Lit p = trail[qhead++];
         const Lit false_lit = ~p;
         ++nPropagations;
-        // Raw pointers into p's watch list: the pushes below go to the
-        // lists of non-false literals, never to this one, so they
-        // cannot move it.
-        std::vector<Watcher> &ws = watches[p.x];
-        Watcher *i = ws.data();
-        Watcher *j = i;
-        Watcher *const end = i + ws.size();
+        // p's span does not move during the walk: the pushes below go
+        // to the spans of non-false literals, never to this one, and
+        // compaction runs only outside propagate.  A push that grows
+        // a span may reallocate the arena, so `ws` is re-read then.
+        WatchSpan &span = watchSpans[p.x];
+        const std::uint32_t start = span.start;
+        const std::uint32_t end = span.size;
+        Watcher *ws = watchArena.data() + start;
+        std::uint32_t i = 0;
+        std::uint32_t j = 0;
         while (i != end) {
-            const Watcher w = *i;
+            const Watcher w = ws[i];
             if (value(w.blocker) == LBool::True) {
-                *j++ = *i++;
+                ws[j++] = ws[i++];
                 continue;
             }
             const Clause &c = clauses[w.cref];
@@ -168,7 +236,7 @@ Solver::propagate()
 
             const Lit first = cl[0];
             if (first != w.blocker && value(first) == LBool::True) {
-                *j++ = {w.cref, first};
+                ws[j++] = {w.cref, first};
                 continue;
             }
 
@@ -177,7 +245,10 @@ Solver::propagate()
             for (std::uint32_t k = 2; k < c.size; ++k) {
                 if (value(cl[k]) != LBool::False) {
                     std::swap(cl[1], cl[k]);
-                    watches[(~cl[1]).x].push_back({w.cref, first});
+                    if (watchPush(~cl[1], {w.cref, first})) {
+                        ws = watchArena.data() + start;
+                        ++ev.walkGrowths;
+                    }
                     found = true;
                     break;
                 }
@@ -186,18 +257,18 @@ Solver::propagate()
                 continue;
 
             // Unit or conflicting.
-            *j++ = {w.cref, first};
+            ws[j++] = {w.cref, first};
             if (value(first) == LBool::False) {
                 // Conflict: copy remaining watchers and bail out.
                 while (i != end)
-                    *j++ = *i++;
-                ws.resize(static_cast<std::size_t>(j - ws.data()));
+                    ws[j++] = ws[i++];
+                span.size = j;
                 qhead = trail.size();
                 return w.cref;
             }
             uncheckedEnqueue(first, w.cref);
         }
-        ws.resize(static_cast<std::size_t>(j - ws.data()));
+        span.size = j;
     }
     return kRefUndef;
 }
@@ -338,6 +409,7 @@ Solver::reduceDB()
             acts.push_back(clauses[i].activity);
     if (acts.size() < 64)
         return;
+    ++ev.reductions;
     std::nth_element(acts.begin(), acts.begin() + acts.size() / 2,
                      acts.end());
     const double median = acts[acts.size() / 2];
@@ -365,8 +437,8 @@ Solver::reduceDB()
     nLearnt = 0;
     for (const auto &c : clauses)
         nLearnt += c.learnt;
-    for (auto &ws : watches)
-        ws.clear();
+    for (WatchSpan &span : watchSpans)
+        span.size = 0;
     for (std::size_t i = 0; i < clauses.size(); ++i)
         attachClause(static_cast<ClauseRef>(i));
     for (Var v = 0; v < numVars(); ++v)
@@ -460,7 +532,9 @@ Result
 Solver::solveAssuming(const std::vector<Lit> &assumptions,
                       std::int64_t conflict_budget)
 {
-    metrics::current().counter("sat.solve_calls").inc();
+    metrics::Registry &reg = metrics::current();
+    satCounters.in(reg, kSolveCalls).inc();
+    satCounters.in(reg, kVars).add(static_cast<std::uint64_t>(numVars()));
     if (!okay)
         return Result::Unsat;
     // Injected conflict-budget exhaustion: answer Unknown without
@@ -482,10 +556,9 @@ Solver::solveAssuming(const std::vector<Lit> &assumptions,
     }
     cancelUntil(0);
 
-    metrics::Registry &reg = metrics::current();
-    reg.counter("sat.conflicts").add(nConflicts - conflicts0);
-    reg.counter("sat.decisions").add(nDecisions - decisions0);
-    reg.counter("sat.propagations").add(nPropagations - propagations0);
+    satCounters.in(reg, kConflicts).add(nConflicts - conflicts0);
+    satCounters.in(reg, kDecisions).add(nDecisions - decisions0);
+    satCounters.in(reg, kPropagations).add(nPropagations - propagations0);
     return r;
 }
 

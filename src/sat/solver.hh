@@ -23,6 +23,19 @@
  * scratch buffers, so taking in a clause or learning one allocates
  * only when a vector outgrows its capacity.
  *
+ * Watch storage.  Every literal's watch list lives in one arena
+ * (`watchArena`); `watchSpans[l.x]` is the span `{start, size, cap}`
+ * of literal `l`'s list in it.  A push to a full span grows it in place
+ * if it ends the arena, or else moves it to the arena's end with twice
+ * the capacity, copying in order and leaving its old slots as garbage.
+ * When the garbage exceeds half the live slots, `attachClause` compacts
+ * the arena, copying every span in literal order.  Compaction never
+ * runs inside `propagate`, so the span being walked does not move; a
+ * push to another literal may still reallocate the arena.  `reduceDB`
+ * sets every span's size to 0 and re-attaches.  Moves and compaction
+ * copy a span's watchers in order, so each literal's watch order is
+ * the one a vector per literal would have.
+ *
  * Models are a function of the exact literal order inside each clause,
  * of the trail and of the watch order, so the storage keeps all three.
  * With `lits` a clause's literals in the arena:
@@ -124,7 +137,10 @@ class Solver
 
     /**
      * Solve under assumptions (checked before deciding).  Assumptions
-     * do not persist; state is reset for the next call.
+     * do not persist; state is reset for the next call.  Counts into
+     * `metrics::current()`: `sat.solve_calls` and `sat.vars` (numVars()
+     * at the call) on entry, and the call's `sat.conflicts`,
+     * `sat.decisions` and `sat.propagations` once it searched.
      */
     Result solveAssuming(const std::vector<Lit> &assumptions,
                          std::int64_t conflict_budget = -1);
@@ -143,6 +159,15 @@ class Solver
     std::uint64_t decisions() const { return nDecisions; }
     std::uint64_t propagations() const { return nPropagations; }
 
+    /** Storage events since construction, so tests can show which
+     *  paths a session reached. */
+    struct Events {
+        std::uint64_t walkGrowths = 0; ///< spans grown inside propagate
+        std::uint64_t compactions = 0; ///< watch-arena compactions
+        std::uint64_t reductions = 0;  ///< reduceDB runs that drop clauses
+    };
+    const Events &events() const { return ev; }
+
   private:
     /** Header of a clause: its literals are `arena[start, start+size)`. */
     struct Clause {
@@ -159,11 +184,19 @@ class Solver
         ClauseRef cref;
         Lit blocker;
     };
+    /** A watch list: `watchArena[start, start+size)`, room for `cap`. */
+    struct WatchSpan {
+        std::uint32_t start = 0;
+        std::uint32_t size = 0;
+        std::uint32_t cap = 0;
+    };
 
     // ---- Core state --------------------------------------------------
     std::vector<Clause> clauses;
     std::vector<Lit> arena; // the literals of all clauses
-    std::vector<std::vector<Watcher>> watches; // indexed by Lit::x
+    std::vector<Watcher> watchArena;    // the watchers of all literals
+    std::vector<WatchSpan> watchSpans;  // indexed by Lit::x
+    std::size_t watchGarbage = 0;       // arena slots no span owns
     std::vector<LBool> assigns;
     std::vector<bool> savedPhase;
     std::vector<int> levels;
@@ -185,6 +218,7 @@ class Solver
     std::uint64_t nConflicts = 0;
     std::uint64_t nDecisions = 0;
     std::uint64_t nPropagations = 0;
+    Events ev;
 
     // ---- Scratch buffers (capacity reused across calls) ----------------
     std::vector<Lit> intake;     // addClause: sorted, filtered copy
@@ -203,6 +237,9 @@ class Solver
     Lit *litsOf(const Clause &c) { return arena.data() + c.start; }
     ClauseRef pushClause(std::span<const Lit> body, bool learnt);
     void attachClause(ClauseRef cref);
+    bool watchPush(Lit l, Watcher w);
+    void growSpan(WatchSpan &span);
+    void compactWatches();
     void varBumpActivity(Var v);
     void varDecayActivity();
     void claBumpActivity(Clause &c);

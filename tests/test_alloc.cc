@@ -235,11 +235,40 @@ TEST(Alloc, SatClauseIntakeAllocatesOnlyAmortizedGrowth)
         for (const auto &c : cs)
             s.addTernary(c[0], c[1], c[2]);
     });
-    // 2,761 with libstdc++'s doubling growth: the 400 watch lists
-    // (about 50 watchers each), the literal arena and the clause
-    // headers.  Copying each clause into its own vectors made 42,746,
-    // about four per clause.
-    EXPECT_LE(n, 2900u);
+    // 46 with libstdc++'s doubling growth: the literal arena, the
+    // watch arena and the clause headers.  A vector per watch list made
+    // 2,761 (mostly the 400 lists' growth), and copying each clause
+    // into its own vectors as well made 42,746, about four per clause.
+    EXPECT_LE(n, 64u);
+}
+
+TEST(Alloc, SatVariableAndWatchGrowthIsAmortized)
+{
+    // A corpus-sized CNF: every variable and every watch list comes
+    // from a handful of arenas and per-variable vectors that double.
+    constexpr int kVars = 50000;
+    constexpr int kClauses = 100000;
+    Rng rng(5);
+    std::vector<std::array<sat::Lit, 2>> cs(kClauses);
+    for (auto &c : cs) {
+        const auto v0 = static_cast<sat::Var>(rng.below(kVars));
+        sat::Var v1;
+        do
+            v1 = static_cast<sat::Var>(rng.below(kVars));
+        while (v1 == v0);
+        c = {sat::mkLit(v0, rng.chance(0.5)), sat::mkLit(v1, rng.chance(0.5))};
+    }
+    std::optional<sat::Solver> s;
+    const std::uint64_t n = allocationsOf([&] {
+        s.emplace();
+        for (int v = 0; v < kVars; ++v)
+            s->newVar();
+        for (const auto &c : cs)
+            s->addBinary(c[0], c[1]);
+    });
+    // 204 with libstdc++'s doubling growth.  A vector per watch list
+    // made at least one allocation per watched literal (about 100,000).
+    EXPECT_LE(n, 240u);
 }
 
 TEST(Alloc, SatConflictsAllocateNothingPerConflict)
@@ -269,10 +298,11 @@ TEST(Alloc, SatConflictsAllocateNothingPerConflict)
     const std::uint64_t n = allocationsOf(
         [&] { EXPECT_EQ(s.solve(1000), sat::Result::Unknown); });
     ASSERT_EQ(s.conflicts() - c0, 1000u);
-    // 58 with libstdc++'s doubling growth, all of them watch-list,
-    // arena and clause-header growth as learnt clauses pile up.  A
-    // `seen` and a learnt vector per conflict made 6,798 here.
-    EXPECT_LE(n, 64u);
+    // None: after the warm-up the arenas and the clause headers have
+    // room for these learnt clauses.  Growing a vector per watch list
+    // made 58 here, and a `seen` and a learnt vector per conflict as
+    // well made 6,798.
+    EXPECT_LE(n, 8u);
 }
 
 } // namespace

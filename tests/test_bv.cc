@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "bv/bitblast.hh"
 #include "expr/eval.hh"
 #include "support/rng.hh"
@@ -215,6 +218,38 @@ TEST(BitBlast, CacheSetIndexExtraction)
     const std::uint64_t v = blaster.bvModel(x);
     EXPECT_EQ((v >> 6) & 127, 61u);
     EXPECT_GE(v, 0x80000u);
+}
+
+/** @return whether every variable of `lo` is below every one of `hi`. */
+bool
+numberedBelow(const std::vector<sat::Lit> &lo,
+              const std::vector<sat::Lit> &hi)
+{
+    sat::Var lo_max = -1, hi_min = std::numeric_limits<sat::Var>::max();
+    for (const sat::Lit l : lo)
+        lo_max = std::max(lo_max, sat::var(l));
+    for (const sat::Lit l : hi)
+        hi_min = std::min(hi_min, sat::var(l));
+    return lo_max < hi_min;
+}
+
+TEST(BitBlast, BinaryOperandsBlastSecondKidFirst)
+{
+    // Models depend on variable numbering, so the operand order must
+    // not be left to the compiler's argument evaluation order: the
+    // second kid (as stored on the node, which interning may reorder)
+    // is blasted first.
+    ExprContext ctx;
+    sat::Solver solver;
+    BitBlaster blaster(solver);
+    const Expr sum = ctx.add(ctx.bvVar("p"), ctx.bvVar("q"));
+    blaster.bvBits(sum);
+    EXPECT_TRUE(numberedBelow(blaster.bvBits(sum->kids[1]),
+                              blaster.bvBits(sum->kids[0])));
+    const Expr eq = ctx.eq(ctx.bvVar("r"), ctx.bvVar("s"));
+    blaster.boolLit(eq);
+    EXPECT_TRUE(numberedBelow(blaster.bvBits(eq->kids[1]),
+                              blaster.bvBits(eq->kids[0])));
 }
 
 } // namespace

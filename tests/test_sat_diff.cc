@@ -1,8 +1,9 @@
 /**
  * @file
  * Differential test of the CDCL solver against a reference copy of its
- * previous clause storage: one heap-allocated literal vector per
- * clause, a fresh `seen` vector and learnt vector per conflict.
+ * previous storage: one heap-allocated literal vector per clause, one
+ * watch vector per literal, a fresh `seen` vector and learnt vector
+ * per conflict.
  *
  * The reference below (`RefSolver`) is that implementation verbatim
  * except for two counters (reduceDB runs, activity rescales) and the
@@ -15,7 +16,11 @@
  * or heap order shows up as a diverging count or model.  Pigeonhole
  * sessions push the search past 4,096 learnt clauses (reduceDB) and
  * past ~4,500 conflicts (the 1e100 activity rescale); the test asserts
- * on the reference that both paths ran.
+ * on the reference that both paths ran.  Arena sessions take clauses
+ * in rounds between budgeted solves, so that watch spans move while
+ * `propagate` walks another span, intake compacts the watch arena and
+ * `reduceDB` runs after a compaction; `Solver::events()` shows that
+ * each of these happened.
  *
  * Scaled by SCAMV_FUZZ_ITERS like every fuzz-lane test.
  */
@@ -552,6 +557,8 @@ struct Pair {
     Solver cur;
     RefSolver ref;
     int calls = 0;
+    int intakeCompactions = 0;      ///< compactions inside addClause
+    int reductionsAfterCompact = 0; ///< reduceDB in a solve after one
 
     /** Equal statistics and every model value; `what` names the call. */
     void
@@ -578,8 +585,10 @@ struct Pair {
     void
     add(const std::vector<Lit> &clause)
     {
+        const std::uint64_t compactions = cur.events().compactions;
         const bool a = cur.addClause(clause);
         const bool b = ref.addClause(clause);
+        intakeCompactions += cur.events().compactions > compactions;
         ASSERT_EQ(a, b) << "addClause of " << clause.size() << " literals";
         expectSame("addClause");
     }
@@ -588,8 +597,11 @@ struct Pair {
     Result
     solve(const std::vector<Lit> &assumptions, std::int64_t budget)
     {
+        const Solver::Events before = cur.events();
         const Result a = cur.solveAssuming(assumptions, budget);
         const Result b = ref.solveAssuming(assumptions, budget);
+        reductionsAfterCompact += before.compactions > 0 &&
+                                  cur.events().reductions > before.reductions;
         EXPECT_EQ(a, b) << "solve with " << assumptions.size()
                         << " assumptions, budget " << budget;
         expectSame("solve");
@@ -634,26 +646,33 @@ randomClause(Rng &rng, int num_vars)
     return c;
 }
 
+/** PHP(9, 8) over variables 0..71: unsat, and thousands of conflicts
+ *  from refuting. */
+void
+addPigeonhole(Pair &s)
+{
+    const int pigeons = 9, holes = 8;
+    s.newVars(pigeons * holes);
+    auto x = [&](int p, int h) { return mkLit(p * holes + h); };
+    for (int p = 0; p < pigeons; ++p) {
+        std::vector<Lit> c;
+        for (int h = 0; h < holes; ++h)
+            c.push_back(x(p, h));
+        s.add(c);
+    }
+    for (int h = 0; h < holes; ++h)
+        for (int p1 = 0; p1 < pigeons; ++p1)
+            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+                s.add({~x(p1, h), ~x(p2, h)});
+}
+
 /** Random incremental session around one formula; `hard` seeds it
  *  with a pigeonhole instance that the budgets cut off. */
 void
 runSession(Pair &s, Rng &rng, bool hard)
 {
     if (hard) {
-        // PHP(9, 8): unsat, and thousands of conflicts from refuting.
-        const int pigeons = 9, holes = 8;
-        s.newVars(pigeons * holes);
-        auto x = [&](int p, int h) { return mkLit(p * holes + h); };
-        for (int p = 0; p < pigeons; ++p) {
-            std::vector<Lit> c;
-            for (int h = 0; h < holes; ++h)
-                c.push_back(x(p, h));
-            s.add(c);
-        }
-        for (int h = 0; h < holes; ++h)
-            for (int p1 = 0; p1 < pigeons; ++p1)
-                for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-                    s.add({~x(p1, h), ~x(p2, h)});
+        addPigeonhole(s);
         s.solve({}, 3000 + static_cast<std::int64_t>(rng.below(3000)));
         if (::testing::Test::HasFatalFailure())
             return;
@@ -723,6 +742,67 @@ TEST(SatDiff, ArenaSolverMatchesPerClauseVectorReference)
     EXPECT_GT(reduce_runs, 0);
     EXPECT_GT(rescales, 0);
     EXPECT_GT(conflicts, 20000u);
+}
+
+/** Intake rounds between budgeted solves around a pigeonhole core:
+ *  the spans that the new clauses fill move to the arena's end and
+ *  leave garbage, so intake compacts; one long solve then passes
+ *  reduceDB's 4,096 learnt clauses, and intake goes on after it. */
+void
+runArenaSession(Pair &s, Rng &rng)
+{
+    addPigeonhole(s);
+    const int core = s.cur.numVars();
+    s.newVars(60);
+    const int n = s.cur.numVars();
+    auto round = [&](std::int64_t budget) {
+        // Ternary clauses over the extra variables (satisfiable at
+        // this density) and long ones over all variables.
+        for (int i = 0; i < 100 && !::testing::Test::HasFatalFailure();
+             ++i) {
+            std::vector<Lit> c;
+            const bool ternary = rng.chance(0.6);
+            const std::size_t len = ternary ? 3 : 5 + rng.below(8);
+            for (std::size_t k = 0; k < len; ++k)
+                c.push_back(ternary ? mkLit(static_cast<Var>(
+                                                core + rng.below(n - core)),
+                                            rng.chance(0.5))
+                                    : randomLit(rng, n));
+            s.add(c);
+        }
+        std::vector<Lit> assumptions;
+        for (int k = static_cast<int>(rng.below(3)); k > 0; --k)
+            assumptions.push_back(randomLit(rng, n));
+        s.solve(assumptions, budget);
+    };
+    for (int r = 0; r < 3; ++r)
+        round(static_cast<std::int64_t>(rng.below(300)));
+    round(5000 + static_cast<std::int64_t>(rng.below(1000)));
+    for (int r = 0; r < 2; ++r)
+        round(static_cast<std::int64_t>(rng.below(1500)));
+}
+
+TEST(SatDiff, WatchSpansMovedAndCompactedMatchReference)
+{
+    Rng rng(2025);
+    std::uint64_t walk_growths = 0;
+    int intake_compactions = 0, reductions_after_compact = 0;
+    for (int i = 0; i < fuzzIters(4); ++i) {
+        SCOPED_TRACE("session " + std::to_string(i));
+        Pair s;
+        runArenaSession(s, rng);
+        if (HasFatalFailure())
+            return;
+        walk_growths += s.cur.events().walkGrowths;
+        intake_compactions += s.intakeCompactions;
+        reductions_after_compact += s.reductionsAfterCompact;
+    }
+    // A span outgrew its room while propagate walked another one,
+    // addClause compacted the arena between solves, and reduceDB
+    // re-attached into an arena compacted before its solve.
+    EXPECT_GT(walk_growths, 0u);
+    EXPECT_GT(intake_compactions, 0);
+    EXPECT_GT(reductions_after_compact, 0);
 }
 
 TEST(SatDiff, UnsatAndSatisfiedClausesAtLevelZeroMatch)
