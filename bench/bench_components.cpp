@@ -148,9 +148,10 @@ BM_SmtBlockedResolve(benchmark::State &state)
     rel::RelationSynthesizer rel(ctx, std::move(p1), std::move(p2), cfg);
     smt::SmtSolver solver(ctx, rel.formulaFor(rel.pairs()[0]));
     std::vector<expr::Expr> vars;
-    for (int r = 0; r < 8; ++r) {
-        vars.push_back(ctx.bvVar("x" + std::to_string(r) + "_1"));
-        vars.push_back(ctx.bvVar("x" + std::to_string(r) + "_2"));
+    const sym::SymNames s1{"_1"}, s2{"_2"};
+    for (bir::Reg r = 0; r < 8; ++r) {
+        vars.push_back(ctx.bvVar(s1.reg(r)));
+        vars.push_back(ctx.bvVar(s2.reg(r)));
     }
     for (auto _ : state) {
         if (solver.solve() != smt::Outcome::Sat) {

@@ -10,6 +10,7 @@
 
 #include "expr/eval.hh"
 #include "support/rng.hh"
+#include "names.hh"
 
 namespace scamv::expr {
 namespace {
@@ -236,7 +237,7 @@ struct RandomDag {
     {
         Rng rng(seed);
         for (int i = 0; i < 5; ++i)
-            add(bvs, ctx.bvVar("x" + std::to_string(i)), 0);
+            add(bvs, ctx.bvVar(indexedName("x", i)), 0);
         for (std::uint64_t c : {0ULL, 8ULL, 63ULL, 64ULL, 65ULL, 127ULL,
                                 0x8000000000000000ULL})
             add(bvs, ctx.bv(c), 0);
@@ -315,7 +316,7 @@ randomAssignment(ExprContext &ctx, Rng &rng)
     Assignment a;
     for (int i = 0; i < 5; ++i)
         if (rng.chance(0.9))
-            a.setBv(ctx.bvVar("x" + std::to_string(i)), value());
+            a.setBv(ctx.bvVar(indexedName("x", i)), value());
     a.setBool(ctx.boolVar("p"), rng.chance(0.5));
     if (rng.chance(0.5))
         a.setBool(ctx.boolVar("q"), rng.chance(0.5));

@@ -9,6 +9,7 @@
 #include "core/expdb.hh"
 #include "core/pipeline.hh"
 #include "core/report.hh"
+#include "names.hh"
 
 namespace scamv::core {
 namespace {
@@ -40,99 +41,6 @@ TEST(Pipeline, ScaledHelpers)
     EXPECT_EQ(scaled(100, 0.5), 50);
     EXPECT_EQ(scaled(3, 0.1), 1); // never below 1
     EXPECT_EQ(scaled(10, 1.0), 10);
-}
-
-TEST(Pipeline, MpartWithRefinementFindsPrefetchCounterexamples)
-{
-    PipelineConfig cfg = baseConfig();
-    cfg.templateKind = gen::TemplateKind::Stride;
-    cfg.model = obs::ModelKind::Mpart;
-    cfg.refinement = obs::ModelKind::MpartRefined;
-    cfg.coverage = Coverage::PcAndLine;
-    cfg.programs = 12;
-    cfg.testsPerProgram = 12;
-    cfg.modelParams.attacker.loSet = 61;
-    cfg.platform.visibleLoSet = 61;
-    cfg.platform.visibleHiSet = 127;
-    RunStats stats = Pipeline(cfg).run();
-    EXPECT_EQ(stats.programs, 12);
-    EXPECT_GT(stats.experiments, 0);
-    // Prefetching breaks cache colouring: refinement must expose it.
-    EXPECT_GT(stats.counterexamples, 0);
-    EXPECT_GT(stats.programsWithCex, 0);
-    EXPECT_GE(stats.ttcSeconds, 0.0);
-}
-
-TEST(Pipeline, MpartPageAlignedFindsNothing)
-{
-    PipelineConfig cfg = baseConfig();
-    cfg.templateKind = gen::TemplateKind::Stride;
-    cfg.model = obs::ModelKind::Mpart;
-    cfg.refinement = obs::ModelKind::MpartRefined;
-    cfg.coverage = Coverage::PcAndLine;
-    cfg.programs = 10;
-    cfg.testsPerProgram = 10;
-    cfg.modelParams.attacker.loSet = 64; // page aligned
-    cfg.platform.visibleLoSet = 64;
-    cfg.platform.visibleHiSet = 127;
-    RunStats stats = Pipeline(cfg).run();
-    // The prefetcher stops at the page boundary: colouring holds.
-    EXPECT_EQ(stats.counterexamples, 0);
-    EXPECT_LT(stats.ttcSeconds, 0.0);
-}
-
-TEST(Pipeline, MctTemplateAWithMspecFindsSiSCloak)
-{
-    PipelineConfig cfg = baseConfig();
-    cfg.templateKind = gen::TemplateKind::A;
-    cfg.model = obs::ModelKind::Mct;
-    cfg.refinement = obs::ModelKind::Mspec;
-    cfg.train = true;
-    RunStats stats = Pipeline(cfg).run();
-    EXPECT_GT(stats.experiments, 0);
-    EXPECT_GT(stats.counterexamples, 0);
-}
-
-TEST(Pipeline, MctTemplateAWithoutRefinementFindsLittle)
-{
-    PipelineConfig cfg = baseConfig();
-    cfg.templateKind = gen::TemplateKind::A;
-    cfg.model = obs::ModelKind::Mct;
-    cfg.train = true;
-    RunStats stats = Pipeline(cfg).run();
-    // Canonical models are too similar to trigger the leak; allow a
-    // rare lucky hit but require a clear gap to the refined run.
-    PipelineConfig refined = cfg;
-    refined.refinement = obs::ModelKind::Mspec;
-    RunStats refined_stats = Pipeline(refined).run();
-    EXPECT_LT(stats.counterexamples, refined_stats.counterexamples);
-}
-
-TEST(Pipeline, Mspec1OnTemplateCIsSound)
-{
-    // Dependent transient loads never issue on the A53 core: Mspec1
-    // validates cleanly on Template C (Fig. 7, col 3).
-    PipelineConfig cfg = baseConfig();
-    cfg.templateKind = gen::TemplateKind::C;
-    cfg.model = obs::ModelKind::Mspec1;
-    cfg.refinement = obs::ModelKind::Mspec;
-    cfg.train = true;
-    RunStats stats = Pipeline(cfg).run();
-    EXPECT_EQ(stats.counterexamples, 0);
-}
-
-TEST(Pipeline, MctOnTemplateDStraightLineIsSound)
-{
-    // No straight-line speculation on direct jumps (Fig. 7, col 5).
-    PipelineConfig cfg = baseConfig();
-    cfg.templateKind = gen::TemplateKind::D;
-    cfg.model = obs::ModelKind::Mct;
-    cfg.refinement = obs::ModelKind::Mspec;
-    cfg.rewriteJumps = true; // Mspec'
-    cfg.train = false;       // no conditional branches to train
-    RunStats stats = Pipeline(cfg).run();
-    EXPECT_GT(stats.experiments, 0);
-    EXPECT_EQ(stats.counterexamples, 0);
 }
 
 TEST(Pipeline, DeterministicAcrossRuns)
@@ -259,7 +167,7 @@ internStates(expr::ExprContext &ctx, int regs)
 {
     for (const char *sfx : {"_1", "_2"}) {
         for (int r = 0; r < regs; ++r)
-            ctx.bvVar("x" + std::to_string(r) + sfx);
+            ctx.bvVar(indexedName("x", r, sfx));
         ctx.memVar(std::string("mem") + sfx);
     }
 }
@@ -317,7 +225,7 @@ copyingSymmetrize(expr::ExprContext &ctx, expr::Expr formula,
             model = std::move(candidate);
     };
     auto x = [&](bir::Reg r, const char *suffix) {
-        return ctx.bvVar("x" + std::to_string(r) + suffix);
+        return ctx.bvVar(indexedName("x", r, suffix));
     };
     const expr::Expr mem1 = ctx.memVar("mem_1");
     const expr::Expr mem2 = ctx.memVar("mem_2");
@@ -358,17 +266,21 @@ layout(const expr::Assignment &a)
 {
     std::string out;
     a.bvVars.forEach([&](std::uint32_t slot, std::uint64_t v) {
-        out += "v" + std::to_string(slot) + "=" + std::to_string(v) + " ";
+        out += indexedName("v", slot, "=");
+        out += std::to_string(v);
+        out += ' ';
     });
     out += "|";
     a.mems.forEach([&](std::uint32_t slot, const expr::ConcreteMemory &mem) {
         if (mem.entries().empty())
             return;
-        out += " m" + std::to_string(slot) + ":";
+        out += indexedName(" m", slot, ":");
         for (const auto &[addr, v] :
              std::map<std::uint64_t, std::uint64_t>(
-                 mem.entries().begin(), mem.entries().end()))
-            out += " " + std::to_string(addr) + "=" + std::to_string(v);
+                 mem.entries().begin(), mem.entries().end())) {
+            out += indexedName(" ", addr, "=");
+            out += std::to_string(v);
+        }
     });
     return out;
 }
@@ -386,11 +298,11 @@ TEST(Pipeline, SymmetrizeModelMatchesCopyingReference)
         internStates(ctx, 5);
         Rng gen(seed);
         auto reg = [&](int state) {
-            return ctx.bvVar("x" + std::to_string(gen.below(5)) + "_" +
-                             std::to_string(state));
+            return ctx.bvVar(
+                indexedName("x", gen.below(5), state == 1 ? "_1" : "_2"));
         };
         auto word = [&](int state) {
-            return ctx.read(ctx.memVar("mem_" + std::to_string(state)),
+            return ctx.read(ctx.memVar(indexedName("mem_", state)),
                             ctx.bv(8 * gen.below(40)));
         };
         std::vector<expr::Expr> conj;
@@ -408,14 +320,14 @@ TEST(Pipeline, SymmetrizeModelMatchesCopyingReference)
         for (int r = 0; r < 5; ++r) {
             for (const char *sfx : {"_1", "_2"})
                 if (gen.chance(0.7))
-                    model.setBv(ctx.bvVar("x" + std::to_string(r) + sfx),
+                    model.setBv(ctx.bvVar(indexedName("x", r, sfx)),
                                 gen.below(100));
         }
         for (int state = 1; state <= 2; ++state) {
             if (gen.chance(0.2))
                 continue;
             auto &mem =
-                model.memOf(ctx.memVar("mem_" + std::to_string(state)));
+                model.memOf(ctx.memVar(indexedName("mem_", state)));
             const std::uint64_t words = gen.below(40);
             for (std::uint64_t w = 0; w < words; ++w)
                 mem.storeWord(8 * gen.below(40), gen.below(3));

@@ -28,6 +28,7 @@
 #include "support/qcache/qcache.hh"
 #include "support/rng.hh"
 #include "sym/symexec.hh"
+#include "names.hh"
 
 namespace scamv::qcache {
 namespace {
@@ -342,7 +343,7 @@ canonicalize(Expr formula)
                              : node->kind == Kind::BoolVar ? "b"
                                                            : "m";
         form.toCanon.emplace(node->name,
-                             prefix + std::to_string(index));
+                             indexedName(prefix, index));
     }
     return form;
 }
@@ -363,11 +364,11 @@ struct RandomFormula {
         : ctx(c), rng(seed)
     {
         for (int i = 0; i < 5; ++i)
-            bvs.push_back(ctx.bvVar("x" + std::to_string(i)));
+            bvs.push_back(ctx.bvVar(indexedName("x", i)));
         for (int i = 0; i < 3; ++i)
-            bools.push_back(ctx.boolVar("p" + std::to_string(i)));
+            bools.push_back(ctx.boolVar(indexedName("p", i)));
         for (int i = 0; i < 2; ++i)
-            mems.push_back(ctx.memVar("m" + std::to_string(i)));
+            mems.push_back(ctx.memVar(indexedName("m", i)));
         bvs.push_back(ctx.bv(8));
         bvs.push_back(ctx.bv(0x80000));
     }

@@ -9,6 +9,7 @@
 #include "expr/eval.hh"
 #include "smt/solver.hh"
 #include "support/metrics.hh"
+#include "names.hh"
 
 namespace scamv::smt {
 namespace {
@@ -464,9 +465,9 @@ randomAddr(ExprContext &ctx, Rng &rng, int depth)
 {
     switch (rng.below(depth > 0 ? 4 : 3)) {
       case 0: return ctx.bv(8 * rng.below(4));
-      case 1: return ctx.bvVar("a" + std::to_string(rng.below(3)));
+      case 1: return ctx.bvVar(indexedName("a", rng.below(3)));
       case 2:
-        return ctx.add(ctx.bvVar("a" + std::to_string(rng.below(3))),
+        return ctx.add(ctx.bvVar(indexedName("a", rng.below(3))),
                        ctx.bv(8 * (1 + rng.below(2))));
       default: return randomWord(ctx, rng, depth - 1);
     }
@@ -476,7 +477,7 @@ randomAddr(ExprContext &ctx, Rng &rng, int depth)
 Expr
 randomMem(ExprContext &ctx, Rng &rng, int depth)
 {
-    Expr m = ctx.memVar("m" + std::to_string(rng.below(2)));
+    Expr m = ctx.memVar(indexedName("m", rng.below(2)));
     const int stores = static_cast<int>(rng.below(3));
     for (int i = 0; i < stores; ++i)
         m = ctx.store(m, randomAddr(ctx, rng, depth),
@@ -490,7 +491,7 @@ randomWord(ExprContext &ctx, Rng &rng, int depth)
 {
     switch (rng.below(5)) {
       case 0: return ctx.bv(rng.below(4));
-      case 1: return ctx.bvVar("a" + std::to_string(rng.below(3)));
+      case 1: return ctx.bvVar(indexedName("a", rng.below(3)));
       default:
         return ctx.read(randomMem(ctx, rng, depth),
                         randomAddr(ctx, rng, depth));

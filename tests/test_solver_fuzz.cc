@@ -11,6 +11,7 @@
 #include "smt/solver.hh"
 #include "support/env.hh"
 #include "support/rng.hh"
+#include "names.hh"
 
 namespace scamv::smt {
 namespace {
@@ -38,13 +39,12 @@ randomBv(ExprContext &ctx, Rng &rng, int depth)
     if (depth == 0 || rng.chance(0.3)) {
         switch (rng.below(3)) {
           case 0:
-            return ctx.bvVar("v" + std::to_string(rng.below(4)));
+            return ctx.bvVar(indexedName("v", rng.below(4)));
           case 1:
             return ctx.bv(rng.below(256));
           default:
             return ctx.read(ctx.memVar("m"),
-                            ctx.bvVar("v" + std::to_string(
-                                               rng.below(4))));
+                            ctx.bvVar(indexedName("v", rng.below(4))));
         }
     }
     Expr a = randomBv(ctx, rng, depth - 1);
@@ -92,7 +92,7 @@ randomAssignment(ExprContext &ctx, Rng &rng)
 {
     expr::Assignment a;
     for (int i = 0; i < 4; ++i)
-        a.setBv(ctx.bvVar("v" + std::to_string(i)),
+        a.setBv(ctx.bvVar(indexedName("v", i)),
                 rng.chance(0.5) ? rng.below(512) : rng.next());
     // A handful of memory words; the evaluator defaults the rest to 0.
     for (int i = 0; i < 6; ++i)
@@ -178,7 +178,7 @@ TEST_P(SolverFuzz, SamplerAndCdclAgreeWithEvaluatorOnBvTerms)
         const std::uint64_t want = expr::evalBv(t, a);
         Expr f = ctx.eq(t, ctx.bv(want));
         for (int v = 0; v < 4; ++v) {
-            const Expr var = ctx.bvVar("v" + std::to_string(v));
+            const Expr var = ctx.bvVar(indexedName("v", v));
             f = ctx.land(f, ctx.eq(var, ctx.bv(a.bv(var))));
         }
         // Pin the memory cells the term reads (evaluator defaults the
