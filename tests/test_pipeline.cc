@@ -43,6 +43,99 @@ TEST(Pipeline, ScaledHelpers)
     EXPECT_EQ(scaled(10, 1.0), 10);
 }
 
+TEST(Pipeline, MpartWithRefinementFindsPrefetchCounterexamples)
+{
+    PipelineConfig cfg = baseConfig();
+    cfg.templateKind = gen::TemplateKind::Stride;
+    cfg.model = obs::ModelKind::Mpart;
+    cfg.refinement = obs::ModelKind::MpartRefined;
+    cfg.coverage = Coverage::PcAndLine;
+    cfg.programs = 12;
+    cfg.testsPerProgram = 12;
+    cfg.modelParams.attacker.loSet = 61;
+    cfg.platform.visibleLoSet = 61;
+    cfg.platform.visibleHiSet = 127;
+    RunStats stats = Pipeline(cfg).run();
+    EXPECT_EQ(stats.programs, 12);
+    EXPECT_GT(stats.experiments, 0);
+    // Prefetching breaks cache colouring: refinement must expose it.
+    EXPECT_GT(stats.counterexamples, 0);
+    EXPECT_GT(stats.programsWithCex, 0);
+    EXPECT_GE(stats.ttcSeconds, 0.0);
+}
+
+TEST(Pipeline, MpartPageAlignedFindsNothing)
+{
+    PipelineConfig cfg = baseConfig();
+    cfg.templateKind = gen::TemplateKind::Stride;
+    cfg.model = obs::ModelKind::Mpart;
+    cfg.refinement = obs::ModelKind::MpartRefined;
+    cfg.coverage = Coverage::PcAndLine;
+    cfg.programs = 10;
+    cfg.testsPerProgram = 10;
+    cfg.modelParams.attacker.loSet = 64; // page aligned
+    cfg.platform.visibleLoSet = 64;
+    cfg.platform.visibleHiSet = 127;
+    RunStats stats = Pipeline(cfg).run();
+    // The prefetcher stops at the page boundary: colouring holds.
+    EXPECT_EQ(stats.counterexamples, 0);
+    EXPECT_LT(stats.ttcSeconds, 0.0);
+}
+
+TEST(Pipeline, MctTemplateAWithMspecFindsSiSCloak)
+{
+    PipelineConfig cfg = baseConfig();
+    cfg.templateKind = gen::TemplateKind::A;
+    cfg.model = obs::ModelKind::Mct;
+    cfg.refinement = obs::ModelKind::Mspec;
+    cfg.train = true;
+    RunStats stats = Pipeline(cfg).run();
+    EXPECT_GT(stats.experiments, 0);
+    EXPECT_GT(stats.counterexamples, 0);
+}
+
+TEST(Pipeline, MctTemplateAWithoutRefinementFindsLittle)
+{
+    PipelineConfig cfg = baseConfig();
+    cfg.templateKind = gen::TemplateKind::A;
+    cfg.model = obs::ModelKind::Mct;
+    cfg.train = true;
+    RunStats stats = Pipeline(cfg).run();
+    // Canonical models are too similar to trigger the leak; allow a
+    // rare lucky hit but require a clear gap to the refined run.
+    PipelineConfig refined = cfg;
+    refined.refinement = obs::ModelKind::Mspec;
+    RunStats refined_stats = Pipeline(refined).run();
+    EXPECT_LT(stats.counterexamples, refined_stats.counterexamples);
+}
+
+TEST(Pipeline, Mspec1OnTemplateCIsSound)
+{
+    // Dependent transient loads never issue on the A53 core: Mspec1
+    // validates cleanly on Template C (Fig. 7, col 3).
+    PipelineConfig cfg = baseConfig();
+    cfg.templateKind = gen::TemplateKind::C;
+    cfg.model = obs::ModelKind::Mspec1;
+    cfg.refinement = obs::ModelKind::Mspec;
+    cfg.train = true;
+    RunStats stats = Pipeline(cfg).run();
+    EXPECT_EQ(stats.counterexamples, 0);
+}
+
+TEST(Pipeline, MctOnTemplateDStraightLineIsSound)
+{
+    // No straight-line speculation on direct jumps (Fig. 7, col 5).
+    PipelineConfig cfg = baseConfig();
+    cfg.templateKind = gen::TemplateKind::D;
+    cfg.model = obs::ModelKind::Mct;
+    cfg.refinement = obs::ModelKind::Mspec;
+    cfg.rewriteJumps = true; // Mspec'
+    cfg.train = false;       // no conditional branches to train
+    RunStats stats = Pipeline(cfg).run();
+    EXPECT_GT(stats.experiments, 0);
+    EXPECT_EQ(stats.counterexamples, 0);
+}
+
 TEST(Pipeline, DeterministicAcrossRuns)
 {
     PipelineConfig cfg = baseConfig();
